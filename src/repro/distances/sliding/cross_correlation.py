@@ -28,7 +28,7 @@ the other three are unbounded similarities, negated.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -171,6 +171,33 @@ def sliding_reference(Y: np.ndarray) -> SlidingReference:
     )
 
 
+def shift_order(cc: np.ndarray, m: int) -> np.ndarray:
+    """Rearrange circular equal-length cross-correlation output (last axis)
+    into shift order ``-(m-1) .. (m-1)``."""
+    if m > 1:
+        return np.concatenate((cc[..., -(m - 1):], cc[..., :m]), axis=-1)
+    return cc[..., :1]
+
+
+def cc_blocks(
+    fx: np.ndarray, fy_conj: np.ndarray, nfft: int, m: int, chunk: int = 32
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Shift-ordered cross-correlation of every (row, column) spectrum pair.
+
+    The batched core of every all-pairs sliding and SINK kernel: multiply
+    ``chunk``-row blocks of the row spectra ``fx`` (``rfft`` of length-``m``
+    series, ``nfft`` points) against all conjugated column spectra
+    ``fy_conj``, inverse-transform each block in one batched ``irfft`` and
+    put it in shift order. Yields ``(start, stop, cc)`` with ``cc`` of shape
+    ``(stop - start, n_columns, 2m - 1)``; each pair's sequence carries the
+    arithmetic of :func:`cross_correlation` for that pair.
+    """
+    for start in range(0, fx.shape[0], chunk):
+        stop = min(start + chunk, fx.shape[0])
+        cc = irfft(fx[start:stop, None, :] * fy_conj[None, :, :], nfft, axis=2)
+        yield start, stop, shift_order(cc, m)
+
+
 def cc_max_from_reference(
     X: np.ndarray,
     reference: SlidingReference,
@@ -179,10 +206,10 @@ def cc_max_from_reference(
 ) -> np.ndarray:
     """Max cross-correlation of every row of ``X`` against a reference.
 
-    The core of every sliding matrix kernel: FFT the queries, multiply
-    against the precomputed conjugated reference FFTs in ``chunk``-row
-    batches, inverse-transform and take the per-pair maximum (optionally
-    dividing by the unbiased overlap counts first).
+    The core of every sliding matrix kernel: FFT the queries, run
+    :func:`cc_blocks` against the precomputed conjugated reference FFTs and
+    take the per-pair maximum (optionally dividing by the unbiased overlap
+    counts first).
     """
     X = np.asarray(X, dtype=np.float64)
     m = X.shape[1]
@@ -190,19 +217,12 @@ def cc_max_from_reference(
         raise ValueError(
             f"query length {m} != reference length {reference.length}"
         )
-    nfft = reference.nfft
-    fx = rfft(X, nfft, axis=1)
-    fy_conj = reference.fft_conj
+    fx = rfft(X, reference.nfft, axis=1)
     counts = _shift_counts(m) if divisor == "unbiased" else None
-    out = np.empty((X.shape[0], fy_conj.shape[0]), dtype=np.float64)
-    for start in range(0, X.shape[0], chunk):
-        stop = min(start + chunk, X.shape[0])
-        prod = fx[start:stop, None, :] * fy_conj[None, :, :]
-        cc = irfft(prod, nfft, axis=2)
-        if m > 1:
-            cc = np.concatenate((cc[:, :, -(m - 1):], cc[:, :, :m]), axis=2)
-        else:
-            cc = cc[:, :, :1]
+    out = np.empty((X.shape[0], reference.fft_conj.shape[0]), dtype=np.float64)
+    for start, stop, cc in cc_blocks(
+        fx, reference.fft_conj, reference.nfft, m, chunk
+    ):
         if counts is not None:
             cc = cc / counts
         out[start:stop] = cc.max(axis=2)

@@ -20,8 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distances.kernels.sink import sink_similarity
-from ..distances.sliding.cross_correlation import ncc_c
+from ..distances.kernels.sink import (
+    SeriesSpectra,
+    sbd_matrix,
+    series_spectra,
+    sink_similarity_matrix,
+)
 from .base import Embedding, register_embedding
 
 
@@ -36,11 +40,18 @@ def select_landmarks_sbd(
     """
     n = X.shape[0]
     k = min(k, n)
-    mean_shape = X.mean(axis=0)
-    first = int(np.argmin([ncc_c(row, mean_shape) for row in X]))
+    spectra = series_spectra(X)
+
+    def sbd_to(target: SeriesSpectra) -> np.ndarray:
+        return sbd_matrix(spectra, target)[:, 0]
+
+    first = int(np.argmin(sbd_to(series_spectra(X.mean(axis=0)[None, :]))))
     chosen = [first]
-    min_dist = np.array([ncc_c(X[i], X[first]) for i in range(n)])
+    min_dist = sbd_to(spectra.take(first))
     while len(chosen) < k:
+        # SBD(x, x) is 0 by definition, but rounding can leave a chosen
+        # landmark just above 0 and get its index picked again.
+        min_dist[chosen] = 0.0
         nxt = int(np.argmax(min_dist))
         if min_dist[nxt] <= 0:
             # Remaining series duplicate chosen landmarks; fall back to
@@ -49,8 +60,7 @@ def select_landmarks_sbd(
             chosen.extend(remaining[: k - len(chosen)])
             break
         chosen.append(nxt)
-        new_dist = np.array([ncc_c(X[i], X[nxt]) for i in range(n)])
-        min_dist = np.minimum(min_dist, new_dist)
+        min_dist = np.minimum(min_dist, sbd_to(spectra.take(nxt)))
     return np.asarray(chosen[:k], dtype=np.intp)
 
 
@@ -80,14 +90,12 @@ class GRAIL(Embedding):
         self._projection: np.ndarray | None = None
 
     def _kernel_matrix(self, landmarks: np.ndarray, gamma: float) -> np.ndarray:
-        k = landmarks.shape[0]
-        kernel = np.empty((k, k), dtype=np.float64)
-        for i in range(k):
-            kernel[i, i] = 1.0
-            for j in range(i + 1, k):
-                kernel[i, j] = kernel[j, i] = sink_similarity(
-                    landmarks[i], landmarks[j], gamma
-                )
+        spectra = series_spectra(landmarks)
+        # sim[j, i] can differ from sim[i, j] in the last bit: mirror the
+        # upper triangle so the kernel is exactly symmetric, diagonal 1.
+        upper = np.triu(sink_similarity_matrix(spectra, spectra, gamma), 1)
+        kernel = upper + upper.T
+        np.fill_diagonal(kernel, 1.0)
         return kernel
 
     def _select_gamma(self, landmarks: np.ndarray) -> tuple[float, np.ndarray]:
@@ -136,11 +144,9 @@ class GRAIL(Embedding):
     def _transform(self, X: np.ndarray) -> np.ndarray:
         assert self._landmark_series is not None and self._projection is not None
         assert self.fitted_gamma_ is not None
-        k = self._landmark_series.shape[0]
-        sims = np.empty((X.shape[0], k), dtype=np.float64)
-        for i, row in enumerate(X):
-            for j in range(k):
-                sims[i, j] = sink_similarity(
-                    row, self._landmark_series[j], self.fitted_gamma_
-                )
+        sims = sink_similarity_matrix(
+            series_spectra(X),
+            series_spectra(self._landmark_series),
+            self.fitted_gamma_,
+        )
         return sims @ self._projection

@@ -46,6 +46,29 @@ def positive_pair():
 
 
 @pytest.fixture(scope="session")
+def adversarial_batches():
+    """Inputs on which the batched SINK/SBD/GRAIL paths must answer
+    exactly like the scalar functions: a zero row, constant rows,
+    duplicate rows, a large offset with small noise, lengths 1 and 2, and
+    more rows than one 32-row block."""
+    gen = np.random.default_rng(77)
+    base = gen.normal(size=(40, 24))
+    zero_row = base[:9].copy()
+    zero_row[3] = 0.0
+    constant = base[:9].copy()
+    constant[2], constant[6] = 4.0, -1.5
+    return {
+        "more_rows_than_one_block": base,
+        "zero_row": zero_row,
+        "constant_rows": constant,
+        "duplicate_rows": np.repeat(base[:3], 3, axis=0),
+        "large_offset": 1e6 + 1e-3 * gen.normal(size=(9, 24)),
+        "length_1": gen.normal(size=(7, 1)),
+        "length_2": gen.normal(size=(7, 2)),
+    }
+
+
+@pytest.fixture(scope="session")
 def tiny_archive():
     """Small synthetic archive reused across integration tests."""
     return default_archive(n_datasets=8, size_scale=0.5, seed=3)

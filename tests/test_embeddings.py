@@ -12,6 +12,9 @@ from repro.embeddings import (
     list_embeddings,
     select_landmarks_sbd,
 )
+from repro.distances.kernels import sink_similarity
+from repro.distances.sliding import ncc_c
+from repro.embeddings import grail as grail_module
 from repro.exceptions import EvaluationError, UnknownMeasureError
 
 
@@ -154,3 +157,99 @@ class TestGrailAutoGamma:
         b = get_embedding("grail", dimensions=8, gamma="auto").fit(train)
         assert a.fitted_gamma_ == b.fitted_gamma_
         assert np.allclose(a.transform(test), b.transform(test))
+
+
+def pair_loop_landmarks(X, k, random_state=0):
+    """select_landmarks_sbd on the scalar ncc_c, one pair at a time."""
+    n = X.shape[0]
+    k = min(k, n)
+    mean_shape = X.mean(axis=0)
+    first = int(np.argmin([ncc_c(row, mean_shape) for row in X]))
+    chosen = [first]
+    min_dist = np.array([ncc_c(X[i], X[first]) for i in range(n)])
+    while len(chosen) < k:
+        min_dist[chosen] = 0.0
+        nxt = int(np.argmax(min_dist))
+        if min_dist[nxt] <= 0:
+            remaining = [i for i in range(n) if i not in chosen]
+            chosen.extend(remaining[: k - len(chosen)])
+            break
+        chosen.append(nxt)
+        new_dist = np.array([ncc_c(X[i], X[nxt]) for i in range(n)])
+        min_dist = np.minimum(min_dist, new_dist)
+    return np.asarray(chosen[:k], dtype=np.intp)
+
+
+class PairLoopGRAIL(GRAIL):
+    """GRAIL on the scalar sink_similarity, one pair at a time: the oracle
+    for the batched landmark kernel and transform."""
+
+    def _kernel_matrix(self, landmarks, gamma):
+        k = landmarks.shape[0]
+        kernel = np.empty((k, k), dtype=np.float64)
+        for i in range(k):
+            kernel[i, i] = 1.0
+            for j in range(i + 1, k):
+                kernel[i, j] = kernel[j, i] = sink_similarity(
+                    landmarks[i], landmarks[j], gamma
+                )
+        return kernel
+
+    def _transform(self, X):
+        landmarks, gamma = self._landmark_series, self.fitted_gamma_
+        sims = np.array(
+            [[sink_similarity(row, lm, gamma) for lm in landmarks] for row in X]
+        )
+        return sims @ self._projection
+
+
+class TestGrailMatchesPairDefinitions:
+    """The batched SINK/SBD paths answer bitwise like the pair loops."""
+
+    def test_landmarks(self, adversarial_batches, train_test):
+        for name, X in {**adversarial_batches, "train": train_test[0]}.items():
+            for k in (3, X.shape[0]):
+                np.testing.assert_array_equal(
+                    select_landmarks_sbd(X, k),
+                    pair_loop_landmarks(X, k),
+                    err_msg=name,
+                )
+
+    def test_duplicate_rows_never_repeat_an_index(self, adversarial_batches):
+        X = adversarial_batches["duplicate_rows"]  # 3 shapes, 3 copies each
+        idx = select_landmarks_sbd(X, X.shape[0])
+        assert sorted(idx.tolist()) == list(range(X.shape[0]))
+
+    def test_exact_duplicates_reach_the_fill_fallback(self, adversarial_batches):
+        # Length-1 series have one shape per sign and an exact SBD of 0
+        # within a sign: after one landmark per sign, the rest fill in
+        # index order.
+        X = adversarial_batches["length_1"]
+        idx = select_landmarks_sbd(X, X.shape[0])
+        assert np.sign(X[idx[0], 0]) != np.sign(X[idx[1], 0])
+        rest = [i for i in range(X.shape[0]) if i not in idx[:2]]
+        assert idx[2:].tolist() == rest
+
+    @pytest.mark.parametrize("gamma", [1.0, 5.0, 20.0])
+    def test_kernel_matrix(self, adversarial_batches, gamma):
+        for name, X in adversarial_batches.items():
+            np.testing.assert_array_equal(
+                GRAIL()._kernel_matrix(X, gamma),
+                PairLoopGRAIL()._kernel_matrix(X, gamma),
+                err_msg=name,
+            )
+
+    @pytest.mark.parametrize("gamma", [1.0, 20.0, "auto"])
+    def test_fit_transform(self, adversarial_batches, monkeypatch, gamma):
+        for name, X in adversarial_batches.items():
+            Q = np.vstack([X, np.full((1, X.shape[1]), 0.5)])
+            batched = GRAIL(dimensions=8, gamma=gamma).fit(X)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    grail_module, "select_landmarks_sbd", pair_loop_landmarks
+                )
+                oracle = PairLoopGRAIL(dimensions=8, gamma=gamma).fit(X)
+            assert batched.fitted_gamma_ == oracle.fitted_gamma_, name
+            np.testing.assert_array_equal(
+                batched.transform(Q), oracle.transform(Q), err_msg=name
+            )

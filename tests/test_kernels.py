@@ -50,6 +50,32 @@ class TestRBF:
 
 
 class TestSINK:
+    @pytest.mark.parametrize("gamma", [1.0, 5.0, 20.0])
+    def test_matrix_matches_scalar(self, adversarial_batches, gamma):
+        """W and E from the batched path equal the scalar sink bitwise."""
+        measure = get_measure("sink")
+        for name, X in adversarial_batches.items():
+            Q = np.vstack([X[:4], np.full((1, X.shape[1]), 0.5)])
+            np.testing.assert_array_equal(
+                measure.pairwise(X, gamma=gamma),
+                [[sink(a, b, gamma) for b in X] for a in X],
+                err_msg=name,
+            )
+            np.testing.assert_array_equal(
+                measure.pairwise(Q, X, gamma=gamma),
+                [[sink(a, b, gamma) for b in X] for a in Q],
+                err_msg=name,
+            )
+
+    def test_overlapping_views_keep_their_own_normalization(self):
+        """X and Y may be distinct but overlapping views of one buffer:
+        Y's self-similarities are Y's own, not X's."""
+        A = np.random.default_rng(3).normal(size=(8, 24))
+        X, Y = A[0:6], A[2:8]
+        D = get_measure("sink").pairwise(X, Y)
+        np.testing.assert_array_equal(D, [[sink(a, b) for b in Y] for a in X])
+        assert (D >= 0.0).all()
+
     def test_self_similarity_is_one(self, sine_pair):
         x, _ = sine_pair
         assert sink_similarity(x, x, gamma=5.0) == pytest.approx(1.0)
