@@ -4,7 +4,8 @@ Two measurements, mirroring the two halves of the serving stack:
 
 1. **In-process engine latency** — batched ``QueryEngine.predict`` with a
    :class:`~repro.observability.MetricsSink` attached, reporting the
-   ``serve.predict`` p50/p95/p99 per route (sliding FFT vs DTW cascade)
+   ``serve.predict`` p50/p95/p99 per route (sliding FFT vs the DTW
+   cascade, served by a full-resolution ``paa_lb`` index)
    for both cold (cache-miss) and hot (cache-hit) batches.
 
 2. **Closed-loop HTTP load** — a live :class:`~repro.serving.ReproServer`
@@ -163,12 +164,12 @@ def test_serving_load(benchmark, save_result):
         "Serving: engine latency percentiles (per batch of "
         f"{ENGINE_BATCH_SIZE}) and closed-loop HTTP load",
         "",
-        f"{'measure':<8} {'route':<8} {'phase':<5} "
+        f"{'measure':<8} {'route':<12} {'phase':<5} "
         f"{'p50':>10} {'p95':>10} {'p99':>10}",
     ]
     for measure, route, phase, agg in engine_rows:
         lines.append(
-            f"{measure:<8} {route:<8} {phase:<5} "
+            f"{measure:<8} {route:<12} {phase:<5} "
             f"{agg['p50'] * 1e3:9.3f}ms {agg['p95'] * 1e3:9.3f}ms "
             f"{agg['p99'] * 1e3:9.3f}ms"
         )

@@ -3,8 +3,10 @@
 1-NN similarity search is the workload the paper's evaluation framework
 deliberately resembles (Section 3). This example runs a query workload
 against a candidate database under banded DTW and shows how the classic
-LB_Keogh lower bound prunes most of the expensive O(m^2) computations
-(the Section 10 acceleration), without changing any answer.
+LB_Keogh lower bound, plus an early-abandoning DP, prunes most of the
+expensive O(m^2) computations (the Section 10 acceleration), without
+changing any answer. The pruned search is ``nearest_neighbors``'s DTW
+route: a transient full-resolution ``paa_lb`` index.
 
 Run: ``python examples/similarity_search.py``
 """
@@ -16,7 +18,8 @@ import time
 import numpy as np
 
 import repro
-from repro.distances.elastic import dtw, envelope, lb_keogh, prune_with_lb_keogh
+from repro.distances.elastic import dtw, envelope, lb_keogh
+from repro.search import nearest_neighbors
 
 
 def main() -> None:
@@ -49,20 +52,21 @@ def main() -> None:
 
     # LB_Keogh-pruned search.
     start = time.perf_counter()
-    pruned_answers = []
-    total_full = 0
-    for q in queries:
-        idx, _, n_full = prune_with_lb_keogh(q, database, delta)
-        pruned_answers.append(idx)
-        total_full += n_full
+    res = nearest_neighbors(
+        queries, database, measure="dtw", params={"delta": delta}
+    )
     t_pruned = time.perf_counter() - start
 
-    assert pruned_answers == exhaustive, "pruning must be exact"
-    total = queries.shape[0] * database.shape[0]
-    print(f"exhaustive search: {total} full DTWs in {t_exhaustive:.2f}s")
+    assert res.indices[:, 0].tolist() == exhaustive, "pruning must be exact"
+    stats = res.extras["index_stats"]
     print(
-        f"LB_Keogh search:   {total_full} full DTWs in {t_pruned:.2f}s "
-        f"({1 - total_full / total:.0%} pruned, same answers)"
+        f"exhaustive search: {stats['candidates']} full DTWs "
+        f"in {t_exhaustive:.2f}s"
+    )
+    print(
+        f"LB_Keogh search:   {stats['refined']} DTWs started "
+        f"in {t_pruned:.2f}s ({stats['pruning_rate']:.0%} pruned, "
+        "same answers)"
     )
 
     # Show the envelope bound on one pair.

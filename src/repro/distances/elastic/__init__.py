@@ -15,7 +15,7 @@ from .extensions import (
     wdtw,
 )
 from .lcss import LCSS, lcss
-from .lower_bounds import envelope, lb_keogh, lb_kim, prune_with_lb_keogh
+from .lower_bounds import envelope, lb_keogh, lb_kim
 from .msm import MSM, msm
 from .swale import SWALE, swale, swale_score
 from .twe import TWE, twe
@@ -33,7 +33,6 @@ __all__ = [
     "lb_kim",
     "lb_keogh",
     "envelope",
-    "prune_with_lb_keogh",
     "ddtw",
     "wdtw",
     "cid",

@@ -67,35 +67,3 @@ def lb_keogh(
     below = np.maximum(lower - x, 0.0)
     return float(np.sqrt((above * above + below * below).sum()))
 
-
-def prune_with_lb_keogh(
-    query: np.ndarray,
-    candidates: np.ndarray,
-    delta: float = 10.0,
-) -> tuple[int, float, int]:
-    """1-NN search under banded DTW with LB_Keogh pruning.
-
-    Returns ``(best_index, best_distance, n_full_computations)`` so callers
-    can report the pruning rate (Figure 9 companion ablation).
-    """
-    from .dtw import dtw
-
-    query = np.asarray(query, dtype=np.float64)
-    candidates = np.asarray(candidates, dtype=np.float64)
-    # Classic ordering trick: visiting candidates by ascending lower bound
-    # finds a tight best-so-far early, which lets the bound prune the rest.
-    query_env = envelope(query, delta)
-    bounds = np.array(
-        [lb_keogh(cand, query, delta, y_envelope=query_env) for cand in candidates]
-    )
-    order = np.argsort(bounds)
-    best_idx, best_dist = -1, np.inf
-    full = 0
-    for idx in order:
-        if bounds[idx] >= best_dist:
-            break  # every remaining bound is at least as large
-        full += 1
-        d = dtw(query, candidates[idx], delta)
-        if d < best_dist:
-            best_dist, best_idx = d, int(idx)
-    return best_idx, float(best_dist), full

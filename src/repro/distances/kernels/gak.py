@@ -86,8 +86,9 @@ def gak(x: np.ndarray, y: np.ndarray, gamma: float = 0.1) -> float:
 
 def _gak_matrix(X: np.ndarray, Y: np.ndarray, gamma: float = 0.1) -> np.ndarray:
     log_self_x = np.array([gak_log_kernel(row, row, gamma) for row in X])
-    same = Y is X or (Y.shape == X.shape and np.shares_memory(Y, X))
-    log_self_y = log_self_x if same else np.array(
+    # Only pairwise's self mode shares X's self-kernels: a Y that merely
+    # overlaps X in memory is a different batch of series.
+    log_self_y = log_self_x if Y is X else np.array(
         [gak_log_kernel(row, row, gamma) for row in Y]
     )
     out = np.empty((X.shape[0], Y.shape[0]), dtype=np.float64)

@@ -14,7 +14,6 @@ from .param_grids import (
 from .cache import MatrixCache
 from .engine import CellJournal, SweepConfig
 from .experiments import Experiment, get_experiment, list_experiments
-from .parallel import run_sweep_parallel
 from .runner import CellFailureInfo, SweepResult, run_sweep
 from .runtime import (
     RuntimePoint,
@@ -27,7 +26,6 @@ __all__ = [
     "MeasureVariant",
     "VariantResult",
     "run_sweep",
-    "run_sweep_parallel",
     "SweepResult",
     "SweepConfig",
     "CellFailureInfo",

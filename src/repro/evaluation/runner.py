@@ -12,9 +12,8 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -137,7 +136,6 @@ def run_sweep(
     on_failure: str | None = None,
     backend: str | None = None,
     config: SweepConfig | None = None,
-    progress: Callable[[str], None] | None = None,
     _inject_fault=None,
 ) -> SweepResult:
     """Evaluate every variant on every dataset — serial or multi-process.
@@ -173,19 +171,7 @@ def run_sweep(
     :class:`~repro.observability.ProgressSink` for live per-cell lines.
     Serial and process runs of the same sweep emit the same span/counter
     multiset.
-
-    .. deprecated:: 1.1
-        The ``progress`` callback still works but is superseded by
-        ``ProgressSink``, which also covers process-parallel sweeps.
     """
-    if progress is not None:
-        warnings.warn(
-            "run_sweep(progress=...) is deprecated; attach a "
-            "repro.observability.ProgressSink to the event bus instead "
-            "(it also covers executor='process' sweeps)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     loose = {
         "executor": executor,
         "workers": workers,
@@ -214,12 +200,4 @@ def run_sweep(
 
     from .engine.core import execute_sweep  # local: engine imports SweepResult
 
-    result = execute_sweep(variants, dataset_list, config)
-    if progress is not None:
-        for vi, variant in enumerate(result.variants):
-            for di, name in enumerate(result.dataset_names):
-                progress(
-                    f"{variant.display} on {name}: "
-                    f"acc={result.accuracies[di, vi]:.4f}"
-                )
-    return result
+    return execute_sweep(variants, dataset_list, config)

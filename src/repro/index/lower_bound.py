@@ -24,6 +24,10 @@ Admissibility chains used here (property-tested in
   lies inside ``[L_j, U_j]`` and ``t -> max(t - U, 0)^2`` is convex,
   Jensen gives ``LB_PAA <= LB_Keogh <= DTW_delta`` — the classic
   "exact indexing of DTW" construction of Keogh & Ratanamahatana [75].
+  With one frame per sample (``segments = m``) the frames are the
+  envelope itself and LB_PAA *is* LB_Keogh: the serving engine and the
+  search facade answer DTW through that index when none was fitted, so
+  the UCR-suite cascade [118] lives only in :meth:`_refine_dtw`.
 
 The refine stage is deliberately *shape-stable*: Euclidean distances are
 computed with an elementwise row reduction whose result for a given row
@@ -88,10 +92,10 @@ def paa_matrix(X: np.ndarray, segments: int) -> np.ndarray:
 def envelope_matrix(X: np.ndarray, delta: float) -> np.ndarray:
     """Stacked LB_Keogh envelopes, shape ``(n, 2, m)`` (upper, lower).
 
-    Equivalent to :func:`repro.search.cascade.candidate_envelopes` but
-    computed with vectorized sliding-window filters; edge replication
-    (``mode="nearest"``) only duplicates in-window samples, so the
-    result is bitwise identical to the per-position loop.
+    Row ``i`` equals :func:`~repro.distances.elastic.envelope` of
+    ``X[i]``, computed with vectorized sliding-window filters; edge
+    replication (``mode="nearest"``) only duplicates in-window samples,
+    so the result is bitwise identical to the per-position loop.
     """
     X = np.asarray(X, dtype=np.float64)
     m = X.shape[1]
@@ -154,6 +158,8 @@ class _FlatLowerBoundIndex(ReferenceIndex):
         from ..search.cascade import dtw_early_abandon
 
         delta = float(self.params["delta"])
+        # With one frame per sample the filter bound already is LB_Keogh.
+        keogh_stage = self.segments < self.series_length
         topk = TopK(k)
         deflated = bounds * (1.0 - LB_SAFETY)
         refined = 0
@@ -161,16 +167,17 @@ class _FlatLowerBoundIndex(ReferenceIndex):
             threshold = topk.threshold
             if deflated[idx] > threshold:
                 break
-            # Tighter O(m) stage before the O(m·w) DP: the full LB_Keogh
-            # against the candidate's stored envelope.
-            keogh = lb_keogh(
-                q,
-                self._X[idx],
-                delta,
-                y_envelope=(self._envelopes[idx, 0], self._envelopes[idx, 1]),
-            )
-            if keogh * (1.0 - LB_SAFETY) > threshold:
-                continue
+            if keogh_stage:
+                # Tighter O(m) stage before the O(m·w) DP: the full
+                # LB_Keogh against the candidate's stored envelope.
+                keogh = lb_keogh(
+                    q,
+                    self._X[idx],
+                    delta,
+                    y_envelope=(self._envelopes[idx, 0], self._envelopes[idx, 1]),
+                )
+                if keogh * (1.0 - LB_SAFETY) > threshold:
+                    continue
             # nextafter keeps exact ties computable so a smaller index
             # can still displace an equal-distance incumbent.
             d = dtw_early_abandon(q, self._X[idx], delta, np.nextafter(threshold, np.inf))
@@ -302,7 +309,8 @@ class PAALowerBoundIndex(_FlatLowerBoundIndex):
     Under Euclidean the features are scaled PAA frames; under DTW they
     are per-frame aggregates of each candidate's LB_Keogh envelope, so
     the filter bound chains ``LB_PAA <= LB_Keogh <= DTW`` and the refine
-    stage is the cascade's early-abandoning DP.
+    stage is the early-abandoning DP. ``segments = m`` makes LB_PAA
+    exactly LB_Keogh (the engine's and facade's default DTW search).
     """
 
     kind = "paa_lb"

@@ -14,13 +14,7 @@ point::
     a, b, d = mp.motif()
 """
 
-from .cascade import (
-    CascadeStats,
-    candidate_envelopes,
-    cascade_nn_search,
-    dtw_early_abandon,
-    query_envelope,
-)
+from .cascade import dtw_early_abandon
 from .facade import NeighborResult, nearest_neighbors
 from .mass import (
     best_match,
@@ -43,9 +37,5 @@ __all__ = [
     "clamped_window_stats",
     "matrix_profile",
     "MatrixProfile",
-    "cascade_nn_search",
-    "candidate_envelopes",
-    "query_envelope",
     "dtw_early_abandon",
-    "CascadeStats",
 ]

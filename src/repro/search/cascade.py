@@ -1,37 +1,32 @@
-r"""UCR-suite-style cascading 1-NN search (paper reference [118]).
+r"""Early-abandoning banded DTW, the last stage of the UCR-suite cascade.
 
-Rakthanmanon et al.'s "trillions of subsequences" system — cited in the
-paper's introduction — combines cheap-to-expensive pruning stages so that
-the full O(m^2) DTW is computed only for candidates that survive every
-cheaper test. This module implements the whole-series version of that
-cascade for the library's banded DTW:
+Rakthanmanon et al.'s "trillions of subsequences" system (paper
+reference [118]) answers exact DTW nearest-neighbour queries with a
+cascade of cheap-to-expensive tests: a lower bound first (LB_Keogh
+against the candidate's envelope), and the O(m·w) DP only for
+candidates whose bound does not already lose, aborting that DP as soon
+as its row minimum passes the best-so-far distance.
 
-1. **LB_Kim** (O(1)) — first/last point bound;
-2. **LB_Keogh** (O(m)) — envelope bound, query envelope precomputed;
-3. **early-abandoning DTW** — the banded DP aborts a row as soon as the
-   row minimum exceeds the best-so-far distance.
-
-Statistics of how much each stage pruned are returned so callers (and the
-pruning ablation) can report the cascade's effectiveness.
+The library runs that cascade in exactly one place: the ascending-bound
+refine of :class:`repro.index.PAALowerBoundIndex`. With one PAA frame
+per sample (``segments = m``) its LB_PAA is exactly LB_Keogh, and the
+serving engine and :func:`repro.search.nearest_neighbors` answer DTW
+that way when no index was fitted. This module keeps the DP it refines
+with, :func:`dtw_early_abandon`.
 
 .. note:: **Precondition.** The cascade is *exact* for any inputs (the
    lower bounds are valid unconditionally), but LB_Keogh is only *tight*
    — and the cascade only prunes well — when query and candidates are
    z-normalized, as in the UCR-suite setting it reproduces. Un-normalized
-   series with large offsets degrade every stage to a no-op and the
+   series with large offsets degrade every bound to a no-op and the
    search degenerates to exhaustive early-abandoning DTW.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .._validation import as_dataset, as_series
 from ..distances.elastic._dp import INF, as_float_list, band_width
-from ..distances.elastic.lower_bounds import envelope, lb_keogh, lb_kim
-from ._deprecation import positional_shim
 
 
 def dtw_early_abandon(
@@ -74,159 +69,3 @@ def dtw_early_abandon(
         prev = cur
     total = prev[n]
     return total ** 0.5 if total < threshold else float("inf")
-
-
-@dataclass(frozen=True)
-class CascadeStats:
-    """Where each candidate was eliminated."""
-
-    total: int
-    pruned_by_kim: int
-    pruned_by_keogh: int
-    abandoned: int
-    full_computations: int
-
-    @property
-    def pruning_rate(self) -> float:
-        """Fraction of candidates that skipped the full DTW cost."""
-        if self.total == 0:
-            return 0.0
-        return 1.0 - self.full_computations / self.total
-
-
-def query_envelope(query, *, delta: float = 10.0) -> np.ndarray:
-    """LB_Keogh envelope of a single query, shape ``(2, m)``.
-
-    ``out[0]`` / ``out[1]`` are the upper / lower envelope. Compute this
-    once and pass it to :func:`cascade_nn_search` via ``query_envelope=``
-    when the same query is searched against several reference shards —
-    the envelope depends only on the query and the band, so sharded
-    searches should not rebuild it per shard.
-    """
-    query = as_series(query, "query")
-    upper, lower = envelope(query, delta)
-    return np.stack([upper, lower])
-
-
-def candidate_envelopes(candidates, *args, delta: float = 10.0) -> np.ndarray:
-    """Stacked LB_Keogh envelopes of every candidate, shape ``(n, 2, m)``.
-
-    ``out[i, 0]`` / ``out[i, 1]`` are the upper / lower envelope of
-    ``candidates[i]``. Computing these once per reference set (they
-    depend only on the candidates and the band) and passing them to
-    :func:`cascade_nn_search` amortizes the O(n·m·w) envelope cost across
-    every query — the pattern the serving artifact uses.
-
-    ``delta`` is keyword-only; the legacy positional spelling still works
-    but emits a :class:`DeprecationWarning`.
-    """
-    if args:
-        delta = positional_shim("candidate_envelopes", ("delta",), args)["delta"]
-    candidates = as_dataset(candidates, "candidates")
-    out = np.empty((candidates.shape[0], 2, candidates.shape[1]))
-    for i, cand in enumerate(candidates):
-        upper, lower = envelope(cand, delta)
-        out[i, 0] = upper
-        out[i, 1] = lower
-    return out
-
-
-def cascade_nn_search(
-    query,
-    candidates,
-    *args,
-    delta: float = 10.0,
-    envelopes: np.ndarray | None = None,
-    query_envelope: np.ndarray | None = None,
-) -> tuple[int, float, CascadeStats]:
-    """Exact 1-NN under banded DTW with the LB_Kim -> LB_Keogh ->
-    early-abandon cascade.
-
-    Returns ``(best_index, best_distance, stats)``; the result always
-    equals the exhaustive scan (asserted by the test suite).
-
-    ``envelopes`` is an optional ``(n, 2, m)`` array of precomputed
-    candidate envelopes from :func:`candidate_envelopes`. When given, the
-    LB_Keogh stage bounds each comparison with the *candidate's* envelope
-    (still a valid lower bound of the symmetric DTW) instead of building
-    the query envelope per call — so repeated searches against a fixed
-    reference set pay the envelope cost once, not per query.
-
-    ``query_envelope`` is an optional precomputed ``(2, m)`` envelope of
-    the *query* (see :func:`query_envelope`), used when ``envelopes`` is
-    not given. Sharded searches — the same query against several slices
-    of a reference set — pass it so the query envelope is built once, not
-    once per shard. Results are identical either way.
-
-    ``delta`` and ``envelopes`` are keyword-only; the legacy positional
-    spellings still work but emit a :class:`DeprecationWarning`.
-    """
-    if args:
-        shimmed = positional_shim(
-            "cascade_nn_search", ("delta", "envelopes"), args
-        )
-        delta = shimmed.get("delta", delta)
-        envelopes = shimmed.get("envelopes", envelopes)
-    query = as_series(query, "query")
-    candidates = as_dataset(candidates, "candidates")
-    if envelopes is not None:
-        envelopes = np.asarray(envelopes, dtype=np.float64)
-        expected = (candidates.shape[0], 2, candidates.shape[1])
-        if envelopes.shape != expected:
-            raise ValueError(
-                f"envelopes must have shape {expected}, got {envelopes.shape}"
-            )
-        keogh_bounds = np.array(
-            [
-                lb_keogh(
-                    query,
-                    candidates[i],
-                    delta,
-                    y_envelope=(envelopes[i, 0], envelopes[i, 1]),
-                )
-                for i in range(candidates.shape[0])
-            ]
-        )
-    else:
-        if query_envelope is not None:
-            query_envelope = np.asarray(query_envelope, dtype=np.float64)
-            if query_envelope.shape != (2, query.shape[0]):
-                raise ValueError(
-                    f"query_envelope must have shape (2, {query.shape[0]}), "
-                    f"got {query_envelope.shape}"
-                )
-            query_env = (query_envelope[0], query_envelope[1])
-        else:
-            query_env = envelope(query, delta)
-        # Visit candidates by ascending LB_Keogh for an early tight best.
-        keogh_bounds = np.array(
-            [
-                lb_keogh(cand, query, delta, y_envelope=query_env)
-                for cand in candidates
-            ]
-        )
-    order = np.argsort(keogh_bounds)
-    best_idx, best_dist = -1, np.inf
-    kim_pruned = keogh_pruned = abandoned = full = 0
-    for idx in order:
-        if keogh_bounds[idx] >= best_dist:
-            keogh_pruned += 1
-            continue
-        if lb_kim(query, candidates[idx]) >= best_dist:
-            kim_pruned += 1
-            continue
-        d = dtw_early_abandon(query, candidates[idx], delta, best_dist)
-        if np.isinf(d):
-            abandoned += 1
-            continue
-        full += 1
-        if d < best_dist:
-            best_dist, best_idx = d, int(idx)
-    stats = CascadeStats(
-        total=candidates.shape[0],
-        pruned_by_kim=kim_pruned,
-        pruned_by_keogh=keogh_pruned,
-        abandoned=abandoned,
-        full_computations=full,
-    )
-    return best_idx, float(best_dist), stats

@@ -2,14 +2,13 @@
 
 Before the top-k API redesign, callers had to pick the right low-level
 tool themselves: :func:`repro.search.mass` / :func:`top_k_matches` for
-subsequence search, :func:`cascade_nn_search` for whole-series DTW,
-:func:`matrix_profile` for self-joins, or a hand-rolled pairwise matrix
-for everything else. :func:`nearest_neighbors` is the facade that routes
+subsequence search, :func:`matrix_profile` for self-joins, or a
+hand-rolled pairwise matrix for everything else. :func:`nearest_neighbors` is the facade that routes
 between them from one declarative call::
 
     from repro.search import nearest_neighbors
 
-    # whole-series top-3 under DTW (exact, cascade-accelerated at k=1)
+    # whole-series top-3 under DTW (exact, LB_Keogh-pruned)
     res = nearest_neighbors(queries, references, measure="dtw", k=3,
                             params={"delta": 10.0})
 
@@ -37,7 +36,6 @@ import numpy as np
 from .._validation import as_dataset, as_series
 from ..distances.base import get_measure
 from ..exceptions import ValidationError
-from .cascade import cascade_nn_search
 from .mass import top_k_matches
 from .matrix_profile import matrix_profile
 
@@ -52,8 +50,8 @@ class NeighborResult:
     subsequence start offset (domains ``"subsequence"`` / ``"profile"``)
     of query ``i``'s ``j``-th nearest neighbor; ``distances`` matches it
     elementwise. Rows are sorted by ascending distance. ``engine`` names
-    which machinery answered (``"pairwise"``, ``"cascade"``,
-    ``"index:<kind>"``, ``"mass"`` or ``"matrix_profile"``).
+    which machinery answered (``"pairwise"``, ``"index:<kind>"``,
+    ``"mass"`` or ``"matrix_profile"``).
     """
 
     indices: np.ndarray
@@ -81,7 +79,7 @@ def _whole_series(
     params: Mapping[str, float],
     index: Any,
 ) -> NeighborResult:
-    """Exact whole-series top-k: transient index, cascade, or pairwise."""
+    """Exact whole-series top-k: transient index or pairwise."""
     m = get_measure(measure)
     resolved = m.resolve_params(params)
     if queries.shape[1] != references.shape[1]:
@@ -93,6 +91,10 @@ def _whole_series(
         raise ValidationError(
             f"k must be in [1, {references.shape[0]}], got {k}"
         )
+    if index is None and m.name == "dtw":
+        # The UCR-suite LB_Keogh -> early-abandon search: paa_lb with one
+        # frame per sample, where LB_PAA is exactly LB_Keogh.
+        index = {"kind": "paa_lb", "segments": references.shape[1]}
     if index is not None:
         from ..index import build_index
 
@@ -106,26 +108,6 @@ def _whole_series(
             domain="whole",
             engine=f"index:{built.kind}",
             extras={"index_stats": stats.to_dict(), "exact": built.exact},
-        )
-    if m.name == "dtw" and k == 1:
-        # The UCR-suite cascade answers exact DTW 1-NN without the full
-        # pairwise matrix; ties are broken identically in practice and
-        # the equivalence is asserted by the property suite.
-        indices = np.empty((queries.shape[0], 1), dtype=np.intp)
-        distances = np.empty((queries.shape[0], 1), dtype=np.float64)
-        for i, q in enumerate(queries):
-            idx, dist, _ = cascade_nn_search(
-                q, references, delta=resolved["delta"]
-            )
-            indices[i, 0] = idx
-            distances[i, 0] = dist
-        return NeighborResult(
-            indices=indices,
-            distances=distances,
-            k=1,
-            measure=m.name,
-            domain="whole",
-            engine="cascade",
         )
     matrix = m.pairwise(queries, references, **resolved)
     order = np.argsort(matrix, axis=1, kind="stable")[:, :k]
@@ -179,17 +161,18 @@ def nearest_neighbors(
 ) -> NeighborResult:
     """Find nearest neighbors across every search domain the library has.
 
-    Keyword-only facade over the pairwise scan, the UCR-suite DTW
-    cascade, the :mod:`repro.index` lower-bound/ANN indexes, MASS
-    subsequence search and the matrix profile. All arguments after
-    ``references`` are keyword-only.
+    Keyword-only facade over the pairwise scan, the :mod:`repro.index`
+    lower-bound/ANN indexes, MASS subsequence search and the matrix
+    profile. All arguments after ``references`` are keyword-only.
 
     - ``domain="whole"`` (default): ``queries`` is ``(r, m)``,
       ``references`` is ``(n, m)``; top-``k`` rows under ``measure`` with
       ``params``. Pass ``index=`` (a kind name or spec mapping, e.g.
       ``"dft_lb"`` or ``{"kind": "paa_lb", "segments": 16}``) to search
       through a transient :mod:`repro.index` structure instead of the
-      exhaustive scan — exact kinds return identical answers.
+      exhaustive scan — exact kinds return identical answers. DTW
+      without ``index=`` is searched through a transient full-resolution
+      ``paa_lb`` (the UCR-suite LB_Keogh -> early-abandon cascade).
     - ``domain="subsequence"``: ``queries`` is one pattern or a batch of
       patterns; ``references`` is the long series scanned with MASS
       (z-normalized ED). ``exclusion`` is the trivial-match radius.

@@ -24,7 +24,6 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from .._validation import EPS, as_series
 from ..exceptions import ValidationError
-from ._deprecation import positional_shim
 
 
 def sliding_dot_product(query: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -148,7 +147,7 @@ def best_match(query: np.ndarray, series: np.ndarray) -> tuple[int, float]:
 def top_k_matches(
     query: np.ndarray,
     series: np.ndarray,
-    *args,
+    *,
     k: int = 3,
     exclusion: int | None = None,
 ) -> list[tuple[int, float]]:
@@ -161,14 +160,7 @@ def top_k_matches(
     **lowest offset** among equally-distant candidates (``np.argmin``
     first-occurrence), so repeated runs — and streaming alert replays —
     yield identical hit lists.
-
-    ``k`` and ``exclusion`` are keyword-only; the legacy positional
-    spellings still work but emit a :class:`DeprecationWarning`.
     """
-    if args:
-        shimmed = positional_shim("top_k_matches", ("k", "exclusion"), args)
-        k = shimmed.get("k", k)
-        exclusion = shimmed.get("exclusion", exclusion)
     query = as_series(query, "query")
     profile = mass(query, series).copy()
     radius = exclusion if exclusion is not None else max(1, query.shape[0] // 2)

@@ -10,7 +10,8 @@ this module packages the answer so it can actually be deployed. A
 - **measure-specific precomputations** — conjugated reference FFTs and
   norms for the sliding family (Eq. 10's :math:`\\mathcal{F}(\\vec y)`
   side never changes between queries), and LB_Keogh candidate envelopes
-  for banded DTW (the cascade's O(n·m·w) fit-time cost);
+  for banded DTW (the O(n·m·w) filter of the engine's full-resolution
+  ``paa_lb`` search);
 - a **content-hash fingerprint** over the reference arrays and every
   knob, built from the same :func:`~repro.evaluation.engine.keys.content_key`
   machinery that keys sweep checkpoints — so two artifacts fitted from
@@ -41,8 +42,8 @@ from ..distances.sliding.cross_correlation import sliding_reference
 from ..evaluation.engine.keys import content_key
 from ..exceptions import ArtifactError
 from ..index import build_index, normalize_index_specs, restore_index
+from ..index.lower_bound import envelope_matrix
 from ..normalization import get_normalizer
-from ..search.cascade import candidate_envelopes
 
 #: Artifact layout identifier; bumped whenever the on-disk format changes.
 ARTIFACT_SCHEMA = "repro.artifact/1"
@@ -179,9 +180,7 @@ class ModelArtifact:
             precomputed["sliding_fft_conj"] = reference.fft_conj
             precomputed["sliding_norms"] = reference.norms
         elif m.name == "dtw":
-            precomputed["envelopes"] = candidate_envelopes(
-                X, delta=resolved["delta"]
-            )
+            precomputed["envelopes"] = envelope_matrix(X, resolved["delta"])
 
         requested = normalize_index_specs(index)
         indexes = tuple(

@@ -14,9 +14,11 @@ measure family makes fastest:
   :func:`~repro.distances.sliding.cc_max_from_reference` — the identical
   arithmetic the registered matrix kernels run, minus the reference-side
   FFT;
-- **banded DTW** goes through the LB_Kim -> LB_Keogh -> early-abandon
-  cascade (:func:`repro.search.cascade_nn_search`) with the artifact's
-  precomputed candidate envelopes.
+- **banded DTW** goes through an exact ``paa_lb`` index at full
+  resolution (one frame per sample, where LB_PAA is exactly LB_Keogh),
+  revived from the artifact's stored candidate envelopes when no exact
+  index was fitted: the UCR-suite LB_Keogh -> early-abandon cascade on
+  the index layer's shared refine kernel.
 
 When the artifact carries fitted reference indexes (``ModelArtifact.fit
 (..., index=...)``), :meth:`QueryEngine.search` adds a sub-linear tier
@@ -31,7 +33,7 @@ on top of those routes:
   true measure (recall measured at fit time, frozen in the spec);
 - ``mode="brute"`` — pruning disabled: the same refine arithmetic over
   every candidate (the baseline exactness is tested against), or the
-  classic full-scan routes when no index exists.
+  full-scan routes when no index exists.
 
 ``predict`` is a thin ``k=1, mode="exact"`` wrapper over ``search``.
 
@@ -65,9 +67,10 @@ from ..distances.sliding.cross_correlation import (
     sliding_reference,
 )
 from ..exceptions import ServingError
+from ..index import PAALowerBoundIndex
+from ..index.lower_bound import envelope_matrix
 from ..normalization import get_normalizer
 from ..observability import get_bus
-from ..search.cascade import cascade_nn_search
 from .artifact import SLIDING_MEASURES, ModelArtifact
 
 from scipy.fft import next_fast_len
@@ -157,16 +160,13 @@ class QueryEngine:
     cache_size:
         Maximum number of distinct queries the LRU cache retains;
         ``0`` disables caching.
-    use_cascade:
-        Route banded DTW through the lower-bounding cascade (default).
-        Disable to force the generic matrix path (the ablation knob).
     backend:
         Implementation-backend policy for the matrix route (``"auto"`` /
         ``"compiled"`` / ``"reference"``). Resolved — and, for the
         compiled tier, JIT-warmed — at construction, so no request ever
         pays a mid-flight compile; ``backend="compiled"`` raises
         :class:`~repro.exceptions.BackendUnavailableError` here rather
-        than on the first query. The sliding and cascade routes run
+        than on the first query. The sliding and DTW index routes run
         their specialized reference arithmetic regardless. When the
         resolved tier differs from the one the artifact was fitted
         (validated) under, the engine emits a
@@ -179,7 +179,6 @@ class QueryEngine:
         artifact: ModelArtifact,
         *,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        use_cascade: bool = True,
         backend: str = "auto",
     ):
         if cache_size < 0:
@@ -206,15 +205,15 @@ class QueryEngine:
         self._approx_indexes = tuple(
             ix for ix in artifact.indexes if not ix.exact
         )
-        self.route = self._pick_route(use_cascade)
+        self.route = self._pick_route()
         if self.route == "sliding":
             self._reference = self._sliding_reference()
-        elif self.route == "cascade":
-            self._envelopes = artifact.precomputed.get("envelopes")
+        elif self.route == "index" and not self._exact_indexes:
+            self._exact_indexes = (self._dtw_index(),)
         if self.route == "matrix":
             self.backend = resolve_backend(self._measure, backend).name
         else:
-            # Sliding/cascade routes run specialized reference arithmetic
+            # Sliding/DTW index routes run specialized reference arithmetic
             # (precomputed FFTs, early-abandon DTW) with no compiled tier.
             self.backend = "reference"
         if self.backend != artifact.backend:
@@ -234,12 +233,12 @@ class QueryEngine:
                 serving_backend=self.backend,
             )
 
-    def _pick_route(self, use_cascade: bool) -> str:
+    def _pick_route(self) -> str:
         name = self._measure.name
         if name in SLIDING_MEASURES:
             return "sliding"
-        if name == "dtw" and use_cascade:
-            return "cascade"
+        if name == "dtw":
+            return "index"
         return "matrix"
 
     def _sliding_reference(self) -> SlidingReference:
@@ -267,20 +266,39 @@ class QueryEngine:
             )
         return sliding_reference(self.artifact.train_X)
 
+    def _dtw_index(self) -> PAALowerBoundIndex:
+        """Full-resolution ``paa_lb`` over the artifact's stored envelopes.
+
+        With ``segments = m`` the frames *are* the LB_Keogh envelopes
+        (scale 1), so the stored array is both and the artifact format
+        is unchanged. Falls back to computing the envelopes when they
+        are absent (an artifact constructed in memory without them).
+        """
+        X = self.artifact.train_X
+        envelopes = self.artifact.precomputed.get("envelopes")
+        if envelopes is None:
+            envelopes = envelope_matrix(X, self._params["delta"])
+        envelopes = np.asarray(envelopes, dtype=np.float64)
+        expected = (X.shape[0], 2, X.shape[1])
+        if envelopes.shape != expected:
+            raise ServingError(
+                f"stored envelopes have shape {envelopes.shape}, "
+                f"expected {expected}"
+            )
+        return PAALowerBoundIndex.restore(
+            {"segments": X.shape[1]},
+            {"frames": envelopes, "envelopes": envelopes},
+            X,
+            measure="dtw",
+            params=self._params,
+        )
+
     # ------------------------------------------------------------------
     # prediction
     # ------------------------------------------------------------------
     def predict(self, queries) -> np.ndarray:
         """1-NN labels of a query batch (thin ``search(k=1)`` wrapper)."""
         return self.search(queries).labels
-
-    def predict_detailed(self, queries) -> Prediction:
-        """Full 1-NN detail — equivalent to ``search(queries)``.
-
-        Retained for pre-index callers; new code should call
-        :meth:`search` directly (it exposes ``k`` and ``mode``).
-        """
-        return self.search(queries)
 
     def search(
         self,
@@ -303,12 +321,13 @@ class QueryEngine:
         mode:
             ``"exact"`` — sub-linear search through the artifact's exact
             lower-bound index when one is fitted (answers provably
-            bitwise-identical to the exhaustive scan), else the classic
-            full-scan routes. ``"approx"`` — the artifact's embedding
-            ANN index (requires one; recall is whatever its spec
-            recorded at fit). ``"brute"`` — exhaustive baseline: the
-            exact index's refine arithmetic with pruning disabled, or
-            the full-scan routes when no index exists.
+            bitwise-identical to the exhaustive scan), the
+            full-resolution DTW index under DTW, else the full-scan
+            routes. ``"approx"`` — the artifact's embedding ANN index
+            (requires one; recall is whatever its spec recorded at
+            fit). ``"brute"`` — exhaustive baseline: the exact index's
+            refine arithmetic with pruning disabled, or the full-scan
+            routes when no index exists.
         index:
             Pin a specific fitted index by kind name (``"dft_lb"``,
             ``"grail_ann"``...); default picks the first fitted index
@@ -395,7 +414,8 @@ class QueryEngine:
                         mode=mode,
                     )
                 else:
-                    sub_idx, sub_dist, pruned, full = self._scan_topk(sub, k)
+                    sub_idx, sub_dist = self._scan_topk(sub, k)
+                    full = sub.shape[0] * self.artifact.n_train
                 for offset, i in enumerate(miss_rows):
                     indices[i] = sub_idx[offset]
                     distances[i] = sub_dist[offset]
@@ -462,24 +482,14 @@ class QueryEngine:
             return self._exact_indexes[0], mode != "brute"
         return None, True  # no index: exact == brute == full scan
 
-    def _scan_topk(
-        self, Q: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+    def _scan_topk(self, Q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Exhaustive top-``k`` per normalized query row (no index).
 
-        Returns ``(indices, distances, pruned, full_computations)`` with
-        the arrays shaped ``(len(Q), k)``; ``pruned`` is nonzero only on
-        the 1-NN cascade route.
+        Returns ``(indices, distances)``, both shaped ``(len(Q), k)``.
         """
-        if self.route == "cascade" and k == 1:
-            idx, dist, pruned, full = self._cascade_nearest(Q)
-            return idx[:, None], dist[:, None], pruned, full
         if self.route == "sliding":
             E = self._sliding_matrix(Q)
         else:
-            # k > 1 on the cascade route also lands here: the cascade
-            # tracks a single best-so-far, so top-k goes through the
-            # generic pairwise matrix (still exact, just not pruned).
             E = self._measure.pairwise(
                 Q,
                 self.artifact.train_X,
@@ -487,12 +497,7 @@ class QueryEngine:
                 **self._params,
             )
         order = np.argsort(E, axis=1, kind="stable")[:, :k]
-        return (
-            order,
-            np.take_along_axis(E, order, axis=1),
-            0,
-            Q.shape[0] * self.artifact.n_train,
-        )
+        return order, np.take_along_axis(E, order, axis=1)
 
     def _sliding_matrix(self, Q: np.ndarray) -> np.ndarray:
         """Dissimilarity matrix via the precomputed reference FFTs.
@@ -511,27 +516,6 @@ class QueryEngine:
                 / Q.shape[1]
             )
         return -cc_max_from_reference(Q, self._reference, "unbiased")
-
-    def _cascade_nearest(
-        self, Q: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """Per-query cascade search with the artifact's envelopes."""
-        delta = self._params.get("delta", 100.0)
-        indices = np.empty(Q.shape[0], dtype=np.intp)
-        distances = np.empty(Q.shape[0], dtype=np.float64)
-        pruned = full = 0
-        for i, row in enumerate(Q):
-            idx, dist, stats = cascade_nn_search(
-                row,
-                self.artifact.train_X,
-                delta=delta,
-                envelopes=self._envelopes,
-            )
-            indices[i] = idx
-            distances[i] = dist
-            pruned += stats.total - stats.full_computations
-            full += stats.full_computations
-        return indices, distances, pruned, full
 
     # ------------------------------------------------------------------
     # cache management

@@ -3,14 +3,13 @@
 The package-level entry points (``distance``, ``pairwise_distances``,
 ``dissimilarity_matrix``) must accept ``normalization=`` uniformly and
 agree with each other; ``describe_measure`` exposes registry metadata as
-plain dicts; deprecated surfaces keep working but warn.
+plain dicts.
 """
 
 import numpy as np
 import pytest
 
 import repro
-from repro.evaluation import MeasureVariant, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -122,15 +121,3 @@ class TestObservabilityReexports:
     def test_describe_measure_exported(self):
         assert "describe_measure" in repro.__all__
 
-
-class TestDeprecations:
-    def test_run_sweep_progress_warns_but_works(self, tiny_archive):
-        datasets = tiny_archive.subset(2)
-        lines = []
-        with pytest.warns(DeprecationWarning, match="ProgressSink"):
-            run_sweep(
-                [MeasureVariant("euclidean", label="ED")],
-                datasets,
-                progress=lines.append,
-            )
-        assert len(lines) == 2

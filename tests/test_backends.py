@@ -457,7 +457,8 @@ class TestServingBackend:
         ]
 
     def test_cascade_route_reports_reference(self, serving_dataset):
-        """Sliding/cascade routes bypass the registry by design."""
+        """The sliding route and the DTW cascade (a full-resolution
+        paa_lb index) bypass the registry by design."""
         artifact = ModelArtifact.fit_dataset(
             serving_dataset,
             measure="dtw",
@@ -465,5 +466,5 @@ class TestServingBackend:
             params={"delta": 10.0},
         )
         engine = QueryEngine(artifact)
-        assert engine.route == "cascade"
+        assert engine.route == "index"
         assert engine.backend == "reference"

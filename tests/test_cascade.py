@@ -1,10 +1,26 @@
-"""Tests for the UCR-suite-style cascading 1-NN search."""
+"""Tests for the UCR-suite-style cascading DTW nearest-neighbour search.
+
+The cascade (LB_Keogh, then the early-abandoning DP) runs as the refine
+of a full-resolution ``paa_lb`` index, which is what
+:func:`repro.search.nearest_neighbors` builds for DTW.
+"""
 
 import numpy as np
 import pytest
 
 from repro.distances.elastic import dtw
-from repro.search import CascadeStats, cascade_nn_search, dtw_early_abandon
+from repro.index import IndexSearchStats
+from repro.search import dtw_early_abandon, nearest_neighbors
+
+
+def cascade_search(query, corpus, delta):
+    """Exact 1-NN of one query through the facade's DTW route."""
+    res = nearest_neighbors(
+        query[None, :], corpus, measure="dtw", params={"delta": delta}
+    )
+    assert res.engine == "index:paa_lb"
+    stats = res.extras["index_stats"]
+    return int(res.indices[0, 0]), float(res.distances[0, 0]), stats
 
 
 @pytest.fixture(scope="module")
@@ -41,30 +57,23 @@ class TestCascadeSearch:
     @pytest.mark.parametrize("delta", [0.0, 10.0, 100.0])
     def test_matches_exhaustive(self, corpus, rng, delta):
         query = corpus[0] + rng.normal(0, 0.1, size=48)
-        idx, dist, stats = cascade_nn_search(query, corpus, delta=delta)
+        idx, dist, _ = cascade_search(query, corpus, delta)
         exhaustive = [dtw(query, c, delta) for c in corpus]
         assert idx == int(np.argmin(exhaustive))
-        assert dist == pytest.approx(min(exhaustive))
-        assert isinstance(stats, CascadeStats)
+        assert dist == min(exhaustive)
 
     def test_stats_partition_candidates(self, corpus, rng):
         query = corpus[0] + rng.normal(0, 0.1, size=48)
-        _, _, stats = cascade_nn_search(query, corpus, delta=10.0)
-        assert (
-            stats.pruned_by_kim
-            + stats.pruned_by_keogh
-            + stats.abandoned
-            + stats.full_computations
-            == stats.total
-        )
+        _, _, stats = cascade_search(query, corpus, 10.0)
+        assert stats["candidates"] == corpus.shape[0]
+        assert stats["pruned"] + stats["refined"] == stats["candidates"]
 
     def test_cascade_prunes_diverse_corpus(self, corpus, rng):
         query = corpus[0] + rng.normal(0, 0.1, size=48)
-        _, _, stats = cascade_nn_search(query, corpus, delta=10.0)
+        _, _, stats = cascade_search(query, corpus, 10.0)
         # The 12 offset-by-5i rows are trivially far: most must be pruned
-        # or abandoned before a full DTW.
-        assert stats.pruning_rate > 0.3
+        # by their bound before any DTW.
+        assert stats["pruning_rate"] > 0.3
 
     def test_pruning_rate_zero_on_empty_stats(self):
-        stats = CascadeStats(0, 0, 0, 0, 0)
-        assert stats.pruning_rate == 0.0
+        assert IndexSearchStats(candidates=0, refined=0).pruning_rate == 0.0

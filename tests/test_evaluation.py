@@ -98,17 +98,6 @@ class TestSweep:
         with pytest.raises(EvaluationError):
             run_sweep([], [])
 
-    def test_progress_callback_called(self, tiny_archive):
-        lines = []
-        with pytest.warns(DeprecationWarning):  # superseded by ProgressSink
-            run_sweep(
-                [MeasureVariant("euclidean", label="ED")],
-                tiny_archive.subset(2),
-                progress=lines.append,
-            )
-        assert len(lines) == 2
-        assert "ED" in lines[0]
-
 
 class TestComparison:
     def test_baseline_excluded_from_rows(self, demo_sweep):

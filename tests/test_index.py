@@ -13,13 +13,12 @@ The index layer is exactness-critical in two different ways:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distances import get_measure
 from repro.distances.elastic import dtw
 from repro.exceptions import (
     ArtifactError,
@@ -37,14 +36,8 @@ from repro.index import (
     normalize_index_specs,
     restore_index,
 )
-from repro.search import (
-    NeighborResult,
-    candidate_envelopes,
-    cascade_nn_search,
-    nearest_neighbors,
-    query_envelope,
-    top_k_matches,
-)
+from repro.normalization import get_normalizer
+from repro.search import NeighborResult, nearest_neighbors
 from repro.serving import ModelArtifact, QueryEngine
 
 #: Banded-DTW deltas from the paper's Table 4 tuning grid (percent band).
@@ -413,15 +406,20 @@ class TestFacade:
         assert indexed.extras["exact"] is True
 
     def test_dtw_cascade_route(self, workload):
+        """DTW without index= runs the LB_Keogh -> early-abandon cascade
+        as a transient full-resolution paa_lb index."""
         X, _, Q = workload
         res = nearest_neighbors(
             Q[:3], X[:40], measure="dtw", k=1, params={"delta": 10.0}
         )
-        assert res.engine == "cascade"
+        assert res.engine == "index:paa_lb"
+        assert res.extras["exact"] is True
+        assert res.extras["index_stats"]["pruned"] > 0
         true = np.array([[dtw(q, x, 10.0) for x in X[:40]] for q in Q[:3]])
         np.testing.assert_array_equal(
             res.indices[:, 0], true.argmin(axis=1)
         )
+        np.testing.assert_array_equal(res.distances[:, 0], true.min(axis=1))
 
     def test_subsequence_domain(self):
         rng = np.random.default_rng(5)
@@ -452,56 +450,75 @@ class TestFacade:
             nearest_neighbors(X[0], X[1], domain="profile", window=8)
 
 
-class TestDeprecationShims:
-    """Legacy positional spellings still work, but warn exactly once."""
+class TestDTWTieOracle:
+    """Every DTW top-k path equals stable argsort over ``pairwise("dtw")``
+    — indices and distances bitwise — when duplicate rows tie exactly.
 
-    @pytest.fixture(scope="class")
-    def corpus(self):
-        rng = np.random.default_rng(3)
-        return rng.normal(size=(6, 32)), rng.normal(size=32)
+    Paper Algorithm 1 is a strict-``<`` scan: among equal distances the
+    lowest reference index wins. Copies of the nearest row sit both
+    below and above it, and ``n > 16`` so that an unstable sort (numpy
+    introsort) would visit tied candidates out of index order.
+    """
 
-    def test_cascade_positional_delta_warns(self, corpus):
-        X, q = corpus
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            legacy = cascade_nn_search(q, X, 10.0)
-        modern = cascade_nn_search(q, X, delta=10.0)
-        assert legacy[0] == modern[0] and legacy[1] == modern[1]
+    DELTA = 10.0
+    N, M = 20, 24
 
-    def test_candidate_envelopes_positional_delta_warns(self, corpus):
-        X, _ = corpus
-        with pytest.warns(DeprecationWarning):
-            legacy = candidate_envelopes(X, 10.0)
-        np.testing.assert_array_equal(legacy, candidate_envelopes(X, delta=10.0))
+    @pytest.fixture(scope="class", params=range(4))
+    def case(self, request, tmp_path_factory):
+        rng = np.random.default_rng(100 + request.param)
+        X = rng.normal(size=(self.N, self.M))
+        slots = np.sort(rng.choice(self.N, size=6, replace=False))
+        X[slots] = X[slots[3]]  # copies below and above slots[3]
+        # One exact copy plus noisy ones: each query visits the tied
+        # candidates in a different bound order.
+        Q = X[slots[3]] + rng.normal(0, 1, (9, self.M)) * np.linspace(
+            0, 0.5, 9
+        )[:, None]
+        art = ModelArtifact.fit(
+            X, np.arange(self.N) % 3, measure="dtw",
+            normalization="zscore", params={"delta": self.DELTA},
+        )
+        path = tmp_path_factory.mktemp("dtw_ties") / "art"
+        art.save(path)
+        loaded = ModelArtifact.load(path)
+        Qn = get_normalizer("zscore").apply_dataset(Q)
+        E = get_measure("dtw").pairwise(Qn, loaded.train_X, delta=self.DELTA)
+        return loaded, Q, Qn, E
 
-    def test_top_k_matches_positional_k_warns(self, corpus):
-        _, q = corpus
-        series = np.concatenate([q, q, q])
-        with pytest.warns(DeprecationWarning):
-            legacy = top_k_matches(q, series, 2)
-        assert legacy == top_k_matches(q, series, k=2)
+    @staticmethod
+    def oracle(E, k):
+        order = np.argsort(E, axis=1, kind="stable")[:, :k]
+        return order, np.take_along_axis(E, order, axis=1)
 
-    def test_keyword_calls_do_not_warn(self, corpus):
-        X, q = corpus
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cascade_nn_search(q, X, delta=10.0)
-            candidate_envelopes(X, delta=10.0)
+    @pytest.mark.parametrize("k", [1, 3, N])
+    @pytest.mark.parametrize("mode", ["exact", "brute"])
+    def test_engine_after_roundtrip(self, case, k, mode):
+        art, Q, _, E = case
+        pred = QueryEngine(art).search(Q, k=k, mode=mode)
+        idx, dist = self.oracle(E, k)
+        np.testing.assert_array_equal(pred.neighbor_indices, idx)
+        np.testing.assert_array_equal(pred.neighbor_distances, dist)
 
-    def test_too_many_positionals_rejected(self, corpus):
-        X, q = corpus
-        with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                cascade_nn_search(q, X, 10.0, None, "extra")
+    @pytest.mark.parametrize("k", [1, 3, N])
+    def test_facade(self, case, k):
+        art, _, Qn, E = case
+        res = nearest_neighbors(
+            Qn, art.train_X, measure="dtw", k=k,
+            params={"delta": self.DELTA},
+        )
+        idx, dist = self.oracle(E, k)
+        np.testing.assert_array_equal(res.indices, idx)
+        np.testing.assert_array_equal(res.distances, dist)
 
-    def test_query_envelope_precompute_identical(self, corpus):
-        X, q = corpus
-        env = query_envelope(q, delta=10.0)
-        assert env.shape == (2, q.shape[0])
-        a = cascade_nn_search(q, X, delta=10.0)
-        b = cascade_nn_search(q, X, delta=10.0, query_envelope=env)
-        assert a[0] == b[0] and a[1] == b[1]
-        with pytest.raises(ValueError, match="query_envelope"):
-            cascade_nn_search(
-                q, X, delta=10.0, query_envelope=np.zeros((2, 4))
-            )
+    @pytest.mark.parametrize("k", [1, 3, N])
+    def test_paa_lb_index(self, case, k):
+        art, _, Qn, E = case
+        index = build_index(
+            "paa_lb", art.train_X, measure="dtw",
+            params={"delta": self.DELTA},
+        )
+        idx, dist = self.oracle(E, k)
+        for prune in (True, False):
+            got_idx, got_dist, _ = index.search(Qn, k, prune=prune)
+            np.testing.assert_array_equal(got_idx, idx)
+            np.testing.assert_array_equal(got_dist, dist)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.distances.elastic import (
-    dtw,
-    envelope,
-    lb_keogh,
-    lb_kim,
-    prune_with_lb_keogh,
-)
+from repro.distances.elastic import dtw, envelope, lb_keogh, lb_kim
+from repro.evaluation.param_grids import full_grid
+from repro.index.lower_bound import envelope_matrix
+from repro.search import nearest_neighbors
+
+#: Every banded-DTW delta of the paper's Table 4 tuning grid (% band).
+TABLE4_DELTAS = [p["delta"] for p in full_grid("dtw")]
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,23 @@ class TestEnvelope:
         assert np.allclose(upper, x)
         assert np.allclose(lower, x)
 
+    @pytest.mark.parametrize("delta", TABLE4_DELTAS)
+    def test_envelope_matrix_matches_scalar(self, adversarial_batches, delta):
+        """The vectorized envelopes fitting uses equal stacked scalar
+        ``envelope`` bitwise: lengths 1, 2 and odd, constant rows, a
+        1e6 offset."""
+        gen = np.random.default_rng(5)
+        batches = dict(adversarial_batches)
+        batches["odd_length"] = gen.normal(size=(6, 37))
+        batches["offset_odd_length"] = 1e6 + gen.normal(size=(5, 23))
+        for name, X in batches.items():
+            expected = np.stack(
+                [np.stack(envelope(row, delta)) for row in X]
+            )
+            np.testing.assert_array_equal(
+                envelope_matrix(X, delta), expected, err_msg=name
+            )
+
 
 class TestLBKeogh:
     @pytest.mark.parametrize("delta", [0.0, 5.0, 10.0, 100.0])
@@ -69,11 +86,13 @@ class TestPruning:
     def test_pruned_search_matches_exhaustive(self, batch):
         query = batch[0] + 0.1
         candidates = batch
-        best_idx, best_dist, n_full = prune_with_lb_keogh(query, candidates, 10.0)
+        res = nearest_neighbors(
+            query, candidates, measure="dtw", params={"delta": 10.0}
+        )
         exhaustive = [dtw(query, c, 10.0) for c in candidates]
-        assert best_idx == int(np.argmin(exhaustive))
-        assert best_dist == pytest.approx(min(exhaustive))
-        assert 1 <= n_full <= candidates.shape[0]
+        assert res.indices[0, 0] == int(np.argmin(exhaustive))
+        assert res.distances[0, 0] == min(exhaustive)
+        assert 1 <= res.extras["index_stats"]["refined"] <= candidates.shape[0]
 
     def test_pruning_actually_prunes_easy_case(self, rng):
         # One near-identical candidate among far-away ones: the bound
@@ -82,5 +101,7 @@ class TestPruning:
         candidates = np.vstack(
             [base + 0.01] + [base + 10.0 + i for i in range(15)]
         )
-        _, _, n_full = prune_with_lb_keogh(base, candidates, 10.0)
-        assert n_full < candidates.shape[0]
+        res = nearest_neighbors(
+            base, candidates, measure="dtw", params={"delta": 10.0}
+        )
+        assert res.extras["index_stats"]["refined"] < candidates.shape[0]

@@ -1,13 +1,9 @@
-"""Tests for the process executor and the deprecated parallel shim."""
+"""Tests for the process executor."""
 
 import numpy as np
 import pytest
 
-from repro.evaluation import (
-    MeasureVariant,
-    run_sweep,
-    run_sweep_parallel,
-)
+from repro.evaluation import MeasureVariant, run_sweep
 from repro.exceptions import EvaluationError
 
 
@@ -63,26 +59,3 @@ class TestProcessExecutor:
         parallel = run_sweep(variants, datasets, executor="process", workers=2)
         assert np.allclose(serial.accuracies, parallel.accuracies)
 
-
-class TestDeprecatedShim:
-    """``run_sweep_parallel`` must warn and delegate to ``run_sweep``."""
-
-    def test_warns_and_matches_unified_api(self, setup):
-        variants, datasets = setup
-        unified = run_sweep(variants, datasets, executor="process", workers=2)
-        with pytest.warns(DeprecationWarning, match="run_sweep"):
-            shim = run_sweep_parallel(variants, datasets, n_jobs=2)
-        assert np.allclose(unified.accuracies, shim.accuracies)
-        assert unified.labels == shim.labels
-
-    def test_single_job_falls_back_to_serial(self, setup):
-        variants, datasets = setup
-        with pytest.warns(DeprecationWarning):
-            result = run_sweep_parallel(variants, datasets, n_jobs=1)
-        assert result.accuracies.shape == (3, 2)
-
-    def test_invalid_jobs_rejected(self, setup):
-        variants, datasets = setup
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(EvaluationError):
-                run_sweep_parallel(variants, datasets, n_jobs=0)

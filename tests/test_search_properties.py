@@ -2,8 +2,12 @@
 
 The pruning cascade and the matrix profile are exactness-critical: a bug
 would silently change answers rather than crash. Both are checked against
-brute-force oracles over randomized inputs.
+brute-force oracles over randomized inputs. The cascade (LB_Keogh, then
+early-abandoning DTW) is the DTW route of the search facade and of the
+serving engine: a full-resolution ``paa_lb`` index.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distances.elastic import dtw
+from repro.exceptions import ServingError
 from repro.normalization import zscore
-from repro.search import candidate_envelopes, cascade_nn_search, mass, matrix_profile
+from repro.search import mass, matrix_profile, nearest_neighbors
+from repro.serving import ModelArtifact, QueryEngine
 
 
 @st.composite
@@ -24,40 +30,58 @@ def corpora(draw):
     return rng.normal(size=(n, m)), rng.normal(size=m)
 
 
-class TestCascadeExactness:
-    @given(corpora(), st.sampled_from([0.0, 10.0, 100.0]))
-    @settings(max_examples=25, deadline=None)
-    def test_cascade_equals_exhaustive(self, data, delta):
-        corpus, query = data
-        idx, dist, _ = cascade_nn_search(query, corpus, delta=delta)
-        exhaustive = [dtw(query, c, delta) for c in corpus]
-        best = min(exhaustive)
-        # Ties may resolve to different-but-equidistant candidates.
-        assert dist == pytest.approx(best)
-        assert exhaustive[idx] == pytest.approx(best)
+#: Neighbour counts up to the largest corpus ``corpora`` draws (k = n).
+KS = st.integers(min_value=1, max_value=10)
 
-    @given(corpora(), st.sampled_from([0.0, 10.0, 100.0]))
+
+def exhaustive_topk(query, corpus, delta, k):
+    """Stable (distance, index) order over the full DTW scan."""
+    exhaustive = np.array([dtw(query, c, delta) for c in corpus])
+    order = np.argsort(exhaustive, kind="stable")[:k]
+    return order, exhaustive[order]
+
+
+class TestCascadeExactness:
+    @given(corpora(), st.sampled_from([0.0, 10.0, 100.0]), KS)
     @settings(max_examples=25, deadline=None)
-    def test_precomputed_envelopes_stay_exact(self, data, delta):
-        """The serving path (candidate envelopes amortized across
-        queries) must return the same exact nearest neighbor as the
-        per-query-envelope path."""
+    def test_cascade_equals_exhaustive(self, data, delta, k):
         corpus, query = data
-        envs = candidate_envelopes(corpus, delta=delta)
-        assert envs.shape == (corpus.shape[0], 2, corpus.shape[1])
-        idx, dist, _ = cascade_nn_search(query, corpus, delta=delta, envelopes=envs)
-        exhaustive = [dtw(query, c, delta) for c in corpus]
-        assert dist == pytest.approx(min(exhaustive))
-        assert exhaustive[idx] == pytest.approx(min(exhaustive))
+        k = min(k, corpus.shape[0])
+        res = nearest_neighbors(
+            query, corpus, measure="dtw", k=k, params={"delta": delta}
+        )
+        idx, dist = exhaustive_topk(query, corpus, delta, k)
+        np.testing.assert_array_equal(res.indices[0], idx)
+        np.testing.assert_array_equal(res.distances[0], dist)
+
+    @given(corpora(), st.sampled_from([0.0, 10.0, 100.0]), KS)
+    @settings(max_examples=25, deadline=None)
+    def test_precomputed_envelopes_stay_exact(self, data, delta, k):
+        """The serving path (candidate envelopes stored in the artifact
+        and amortized across queries) returns the exhaustive top-k."""
+        corpus, query = data
+        k = min(k, corpus.shape[0])
+        art = ModelArtifact.fit(
+            corpus, np.arange(corpus.shape[0]), measure="dtw",
+            params={"delta": delta},
+        )
+        assert art.precomputed["envelopes"].shape == (
+            corpus.shape[0], 2, corpus.shape[1]
+        )
+        pred = QueryEngine(art).search(query, k=k)
+        idx, dist = exhaustive_topk(query, corpus, delta, k)
+        np.testing.assert_array_equal(pred.neighbor_indices[0], idx)
+        np.testing.assert_array_equal(pred.neighbor_distances[0], dist)
 
     def test_envelope_shape_mismatch_rejected(self):
         rng = np.random.default_rng(0)
         corpus = rng.normal(size=(4, 16))
-        with pytest.raises(ValueError, match="envelopes"):
-            cascade_nn_search(
-                rng.normal(size=16), corpus, delta=10.0,
-                envelopes=np.zeros((4, 2, 8)),
-            )
+        art = ModelArtifact.fit(
+            corpus, np.arange(4), measure="dtw", params={"delta": 10.0}
+        )
+        bad = replace(art, precomputed={"envelopes": np.zeros((4, 2, 8))})
+        with pytest.raises(ServingError, match="envelopes"):
+            QueryEngine(bad)
 
 
 class TestMassOracle:

@@ -39,8 +39,10 @@ from repro.serving import (
 )
 
 #: (measure, normalization, params) triples spanning every engine route:
-#: lock-step matrix kernel, sliding precomputed-FFT, banded-DTW cascade,
-#: and the generic matrix fallback used by the other elastic measures.
+#: lock-step matrix kernel, sliding precomputed-FFT, banded DTW through
+#: the full-resolution paa_lb index (the LB_Keogh -> early-abandon
+#: cascade), and the generic matrix fallback of the other elastic
+#: measures.
 FAMILY_CASES = [
     ("euclidean", "zscore", None),
     ("nccc", "zscore", None),
@@ -197,22 +199,27 @@ class TestQueryEngine:
 
         assert route("euclidean") == "matrix"
         assert route("nccc") == "sliding"
-        assert route("dtw", params={"delta": 10.0}) == "cascade"
+        assert route("dtw", params={"delta": 10.0}) == "index"
         assert route("msm") == "matrix"
 
     def test_cascade_toggle_agrees(self, dataset):
+        """Pruning on (exact) and off (brute) agree with the offline
+        pairwise answer; the cascade pruned something on smooth data."""
         art = ModelArtifact.fit_dataset(
             dataset, measure="dtw", normalization="zscore",
             params={"delta": 10.0},
         )
-        with_cascade = QueryEngine(art, use_cascade=True)
-        without = QueryEngine(art, use_cascade=False)
-        detailed = with_cascade.predict_detailed(dataset.test_X)
+        engine = QueryEngine(art)
+        with_cascade = engine.search(dataset.test_X)
+        without = engine.search(dataset.test_X, mode="brute")
+        offline = offline_labels(art, dataset.test_X)
+        np.testing.assert_array_equal(with_cascade.labels, offline)
+        np.testing.assert_array_equal(without.labels, offline)
         np.testing.assert_array_equal(
-            detailed.labels, without.predict(dataset.test_X)
+            with_cascade.neighbor_distances, without.neighbor_distances
         )
-        # The cascade must actually have pruned something on smooth data.
-        assert detailed.pruned > 0
+        assert with_cascade.pruned > 0
+        assert without.pruned == 0
 
     def test_query_shape_validated(self, nccc_artifact):
         engine = QueryEngine(nccc_artifact)
@@ -222,9 +229,9 @@ class TestQueryEngine:
     def test_cache_hits_and_eviction(self, dataset, nccc_artifact):
         engine = QueryEngine(nccc_artifact, cache_size=4)
         batch = dataset.test_X[:3]
-        first = engine.predict_detailed(batch)
+        first = engine.search(batch)
         assert first.cache_hits == 0
-        second = engine.predict_detailed(batch)
+        second = engine.search(batch)
         assert second.cache_hits == 3
         np.testing.assert_array_equal(first.labels, second.labels)
         np.testing.assert_array_equal(first.distances, second.distances)
@@ -284,7 +291,7 @@ class TestConcurrency:
         batch = dataset.test_X[:6]
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(
-                pool.map(lambda _: engine.predict_detailed(batch), range(16))
+                pool.map(lambda _: engine.search(batch), range(16))
             )
         for result in results[1:]:
             np.testing.assert_array_equal(results[0].labels, result.labels)
