@@ -56,7 +56,7 @@ def test_ablation_cascade_pruning(benchmark, save_result):
     exhaustive, res, t_exh, t_casc = run_once(benchmark, experiment)
     answers = res.indices[:, 0].tolist()
     assert answers == exhaustive, "cascade must be exact"
-    stats = res.extras["index_stats"]
+    stats = res.stats.to_dict()
     lines = [
         "Ablation: DTW 1-NN pruning cascade (pooled heterogeneous corpus)",
         f"corpus {corpus.shape[0]} series x {len(answers)} queries "

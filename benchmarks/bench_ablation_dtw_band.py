@@ -44,7 +44,7 @@ def test_ablation_dtw_band(benchmark, save_result):
             rows.append((delta, acc, elapsed))
         stats = nearest_neighbors(
             ds.test_X, ds.train_X, measure="dtw", params={"delta": 10.0}
-        ).extras["index_stats"]
+        ).stats.to_dict()
         return rows, stats
 
     rows, stats = run_once(benchmark, experiment)

@@ -11,7 +11,9 @@ query latency of the sub-linear index path (``repro.index``) against the
 brute scan for n = 10^3 .. 10^5 (10^6 behind ``REPRO_BENCH_HUGE=1``),
 asserting the lower-bound filter prunes at least half the candidates at
 the largest size on clustered data — iid noise would concentrate all
-pairwise distances and void the comparison.
+pairwise distances and void the comparison. At every size each exact
+kind (``dft_lb``, ``paa_lb``, ``isax``) must answer k = 1 and k = 5
+exactly like the brute scan, which gates the shared index search loop.
 """
 
 import os
@@ -87,6 +89,8 @@ if os.environ.get("REPRO_BENCH_HUGE") == "1":
     REFERENCE_SIZES = REFERENCE_SIZES + (1_000_000,)
 SERIES_LENGTH = 64
 N_QUERIES = 16
+#: Exact index kinds whose pruned answers must equal the brute scan.
+EXACT_KINDS = ("dft_lb", "paa_lb", "isax")
 
 
 def _clustered_references(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -116,10 +120,18 @@ def test_index_query_latency_vs_reference_size(benchmark, save_result):
             start = time.perf_counter()
             brute_idx, brute_dist, _ = index.search(Q, 1, prune=False)
             brute_t = (time.perf_counter() - start) / N_QUERIES
-            # Exactness is non-negotiable at every scale.
-            np.testing.assert_array_equal(idx, brute_idx)
-            np.testing.assert_array_equal(dist, brute_dist)
             rows.append((n, pruned_t, brute_t, stats.pruning_rate))
+            # Exactness is non-negotiable at every scale, for every kind.
+            brute = {1: (brute_idx, brute_dist)}
+            brute[5] = index.search(Q, 5, prune=False)[:2]
+            for kind in EXACT_KINDS:
+                kind_index = build_index(
+                    kind, X, measure="euclidean", params={}
+                )
+                for k, (want_idx, want_dist) in brute.items():
+                    got_idx, got_dist, _ = kind_index.search(Q, k)
+                    np.testing.assert_array_equal(got_idx, want_idx)
+                    np.testing.assert_array_equal(got_dist, want_dist)
         return rows
 
     rows = run_once(benchmark, experiment)

@@ -58,7 +58,7 @@ def main() -> None:
     t_pruned = time.perf_counter() - start
 
     assert res.indices[:, 0].tolist() == exhaustive, "pruning must be exact"
-    stats = res.extras["index_stats"]
+    stats = res.stats.to_dict()
     print(
         f"exhaustive search: {stats['candidates']} full DTWs "
         f"in {t_exhaustive:.2f}s"

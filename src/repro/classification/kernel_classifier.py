@@ -22,59 +22,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import as_dataset, as_labels
-from ..distances.kernels.gak import gak_log_kernel
-from ..distances.kernels.kdtw import kdtw_similarity
-from ..distances.kernels.rbf import rbf_kernel
-from ..distances.kernels.sink import sink_similarity
+from ..distances.base import get_measure, list_measures
+from ..distances.kernels.sink import series_spectra, sink_similarity_matrix
 from ..exceptions import EvaluationError, ParameterError
 
-#: Kernel-name -> normalized similarity function k(x, y, gamma) in (0, 1].
-_KERNELS = {
-    "rbf": rbf_kernel,
-    "sink": sink_similarity,
-    "kdtw": kdtw_similarity,
-}
 
-
-def _gak_similarity(x: np.ndarray, y: np.ndarray, gamma: float = 0.1) -> float:
-    """Normalized GAK similarity ``exp(-(normalized log-kernel distance))``."""
-    import math
-
-    log_xy = gak_log_kernel(x, y, gamma)
-    if not math.isfinite(log_xy):
-        return 0.0
-    log_xx = gak_log_kernel(x, x, gamma)
-    log_yy = gak_log_kernel(y, y, gamma)
-    return float(math.exp(min(0.0, log_xy - 0.5 * (log_xx + log_yy))))
-
-
-_KERNELS["gak"] = _gak_similarity
+def _check_kernel(kernel: str) -> None:
+    """Raise :class:`ParameterError` unless ``kernel`` names a kernel measure."""
+    available = list_measures("kernel")
+    if kernel not in available:
+        raise ParameterError(
+            f"unknown kernel {kernel!r}; available: {available}"
+        )
 
 
 def kernel_matrix(
     kernel: str, X, Y=None, gamma: float | None = None
 ) -> np.ndarray:
-    """Similarity matrix ``K[i, j] = k(X[i], Y[j])`` for a named kernel."""
-    if kernel not in _KERNELS:
-        raise ParameterError(
-            f"unknown kernel {kernel!r}; available: {sorted(_KERNELS)}"
-        )
-    fn = _KERNELS[kernel]
+    """Similarity matrix ``K[i, j] = k(X[i], Y[j])`` for a named kernel.
+
+    Built from the measure registry's batched kernels: SINK's similarity
+    over each series' spectrum, ``exp(-d)`` of the normalized log-kernel
+    distances of KDTW and GAK, and for RBF ``exp(-gamma * d)`` of the
+    squared ED the registered ``rbf`` matrix exponentiates (not
+    ``1 - rbf``, which rounds every similarity below 1e-16 to 0).
+    ``gamma=None`` takes the registry's default (the paper's
+    unsupervised pick).
+    """
+    _check_kernel(kernel)
     Xa = as_dataset(X, "X")
-    self_mode = Y is None
-    Ya = Xa if self_mode else as_dataset(Y, "Y")
-    kwargs = {} if gamma is None else {"gamma": gamma}
-    out = np.empty((Xa.shape[0], Ya.shape[0]), dtype=np.float64)
-    if self_mode:
-        for i in range(Xa.shape[0]):
-            out[i, i] = fn(Xa[i], Xa[i], **kwargs)
-            for j in range(i + 1, Ya.shape[0]):
-                out[i, j] = out[j, i] = fn(Xa[i], Xa[j], **kwargs)
-    else:
-        for i in range(Xa.shape[0]):
-            for j in range(Ya.shape[0]):
-                out[i, j] = fn(Xa[i], Ya[j], **kwargs)
-    return out
+    Ya = None if Y is None else as_dataset(Y, "Y")
+    params = {} if gamma is None else {"gamma": gamma}
+    if kernel == "sink":
+        rows = series_spectra(Xa)
+        cols = rows if Ya is None else series_spectra(Ya)
+        return sink_similarity_matrix(rows, cols, **params)
+    if kernel == "rbf":
+        gamma = get_measure("rbf").resolve_params(params)["gamma"]
+        return np.exp(-gamma * get_measure("squaredeuclidean").pairwise(Xa, Ya))
+    return np.exp(-get_measure(kernel).pairwise(Xa, Ya, **params))
 
 
 @dataclass
@@ -86,7 +72,8 @@ class KernelRidgeClassifier:
     kernel:
         ``"rbf"``, ``"sink"``, ``"gak"`` or ``"kdtw"``.
     gamma:
-        Kernel bandwidth (``None`` uses each kernel's default).
+        Kernel bandwidth (``None`` uses each kernel measure's registry
+        default).
     regularization:
         Ridge term :math:`\\lambda > 0`.
     """
@@ -98,10 +85,7 @@ class KernelRidgeClassifier:
     def __post_init__(self) -> None:
         if self.regularization <= 0:
             raise ParameterError("regularization must be positive")
-        if self.kernel not in _KERNELS:
-            raise ParameterError(
-                f"unknown kernel {self.kernel!r}; available: {sorted(_KERNELS)}"
-            )
+        _check_kernel(self.kernel)
         self._train_X: np.ndarray | None = None
         self._alphas: np.ndarray | None = None
         self._classes: np.ndarray | None = None

@@ -29,9 +29,8 @@ import numpy as np
 from ..distances.base import get_measure
 from ..embeddings.grail import GRAIL
 from ..embeddings.spiral import SPIRAL
-from ..exceptions import IndexBuildError, ValidationError
-from .base import IndexSearchStats, ReferenceIndex, TopK, register_index
-from .lower_bound import euclidean_refine
+from ..exceptions import IndexBuildError
+from .base import ReferenceIndex, TopK, euclidean_refine, register_index
 
 #: Default embedding width — much smaller than the paper's Table-7
 #: representation length (100): the index only needs candidate ranking,
@@ -132,8 +131,8 @@ class _EmbeddingANNIndex(ReferenceIndex):
         hits = 0
         for i in picks:
             exact = self._exact_nn(int(i))
-            approx = self._search_one(self._X[i], 1, exclude=int(i))[0][0]
-            hits += int(approx == exact)
+            topk, _ = self._nearest(self._X[i], 1, exclude=int(i))
+            hits += int(topk.result()[0][0] == exact)
         return hits / picks.shape[0]
 
     def _exact_nn(self, i: int) -> int:
@@ -147,9 +146,13 @@ class _EmbeddingANNIndex(ReferenceIndex):
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def _search_one(
+    def _nearest(
         self, q: np.ndarray, k: int, exclude: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    ) -> tuple[TopK, int]:
+        """Embedding shortlist, re-ranked with the true measure.
+
+        ``exclude`` drops one reference row (the recall self-queries).
+        """
         eq = self._embedding.transform(q[None, :])[0]
         emb_d = euclidean_refine(self._embeddings, slice(None), eq)
         if exclude is not None:
@@ -162,36 +165,12 @@ class _EmbeddingANNIndex(ReferenceIndex):
         topk = TopK(k)
         for idx, d in zip(shortlist, true_d):
             topk.offer(float(d), int(idx))
-        idx, dist = topk.result()
-        return idx, dist, shortlist.shape[0]
+        return topk, shortlist.shape[0]
 
-    def search(
-        self, Q: np.ndarray, k: int, *, prune: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, IndexSearchStats]:
-        """Approximate top-``k``: embedding shortlist + true re-rank.
-
-        ``prune`` is accepted for protocol compatibility but has no
-        exact fallback here — an approximate index is approximate either
-        way; the engine routes ``mode="brute"`` to exhaustive search
-        itself.
-        """
-        Q = np.asarray(Q, dtype=np.float64)
-        if not 1 <= k <= min(self.n, self.rerank):
-            raise ValidationError(
-                f"k must be in [1, {min(self.n, self.rerank)}] for this "
-                f"index (rerank={self.rerank}), got {k}"
-            )
-        r = Q.shape[0]
-        indices = np.empty((r, k), dtype=np.intp)
-        distances = np.empty((r, k), dtype=np.float64)
-        refined_total = 0
-        for qi in range(r):
-            idx, dist, refined = self._search_one(Q[qi], k)
-            indices[qi] = idx
-            distances[qi] = dist
-            refined_total += refined
-        stats = IndexSearchStats(candidates=r * self.n, refined=refined_total)
-        return indices, distances, stats
+    @property
+    def max_k(self) -> int:
+        """At most ``rerank`` candidates are ranked per query."""
+        return min(self.n, self.rerank)
 
     # ------------------------------------------------------------------
     # serialization

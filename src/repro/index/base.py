@@ -20,6 +20,9 @@ Two index classes exist:
   with a true-distance re-rank, gated by a recall measurement at build
   time.
 
+Both are searched through one loop, :meth:`ReferenceIndex.search`; a
+kind supplies only its per-query step.
+
 Every index serializes to ``(spec, arrays)``: the spec is a small
 JSON-able dict folded into the artifact fingerprint, and the arrays ride
 in the artifact's ``arrays.npz`` under per-array digests — so a frozen
@@ -35,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..exceptions import IndexBuildError
+from ..exceptions import IndexBuildError, ValidationError
 
 #: Relative safety margin applied to every lower bound before it is
 #: compared against the running k-th best distance. Admissibility is a
@@ -48,6 +51,22 @@ LB_SAFETY = 1e-9
 #: vectorized batch. Chunking keeps the numpy kernels hot while still
 #: re-checking the stop condition often enough to prune late candidates.
 REFINE_CHUNK = 64
+
+
+def euclidean_refine(X: np.ndarray, rows, q: np.ndarray) -> np.ndarray:
+    """Exact ED of ``q`` against ``X[rows]`` via a row-stable reduction.
+
+    ``((X[rows] - q) ** 2).sum(axis=1)`` reduces each row independently
+    (numpy's pairwise summation depends only on the row length), so the
+    distance computed for a row is bit-identical whether it is refined
+    alone, in a chunk, or in the full ``prune=False`` scan — unlike the
+    BLAS gemm trick, whose blocking changes with the batch shape. The
+    difference is squared in place: over all ``n`` rows (the filter
+    bounds) a second ``n``-row temporary per query costs page faults.
+    """
+    diff = X[rows] - q
+    diff *= diff
+    return np.sqrt(diff.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -206,18 +225,67 @@ class ReferenceIndex(ABC):
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    @abstractmethod
     def search(
         self, Q: np.ndarray, k: int, *, prune: bool = True
     ) -> tuple[np.ndarray, np.ndarray, IndexSearchStats]:
         """Top-``k`` neighbors of each normalized query row.
 
         Returns ``(indices, distances, stats)`` with both arrays shaped
-        ``(len(Q), k)``. ``prune=False`` runs the identical refine
-        arithmetic over *every* candidate — the engine's ``mode="brute"``
-        baseline the exactness tests compare against, differing from
-        ``prune=True`` only in which candidates get skipped.
+        ``(len(Q), k)``. Each kind answers one query at a time through
+        :meth:`_nearest`. ``prune=False`` runs :meth:`_scan` on exact
+        kinds: the identical refine arithmetic over *every* candidate —
+        the engine's ``mode="brute"`` baseline the exactness tests
+        compare against, differing from ``prune=True`` only in which
+        candidates get skipped. Approximate kinds answer the same way
+        either way.
         """
+        Q = np.asarray(Q, dtype=np.float64)
+        bound = self.max_k
+        if not 1 <= k <= bound:
+            raise ValidationError(
+                f"k must be in [1, {bound}] for this {self.kind} index, "
+                f"got {k}"
+            )
+        step = self._nearest if prune or not self.exact else self._scan
+        r = Q.shape[0]
+        indices = np.empty((r, k), dtype=np.intp)
+        distances = np.empty((r, k), dtype=np.float64)
+        refined_total = 0
+        for qi in range(r):
+            topk, refined = step(Q[qi], k)
+            indices[qi], distances[qi] = topk.result()
+            refined_total += refined
+        stats = IndexSearchStats(candidates=r * self.n, refined=refined_total)
+        return indices, distances, stats
+
+    @abstractmethod
+    def _nearest(self, q: np.ndarray, k: int) -> tuple[TopK, int]:
+        """This kind's search for one query: ``(top-k, pairs refined)``."""
+
+    def _scan(self, q: np.ndarray, k: int) -> tuple[TopK, int]:
+        """The pruning-disabled scan: the refine arithmetic, every row.
+
+        Row-wise ED, or early-abandoning DTW with an infinite threshold
+        (which is the full DP).
+        """
+        topk = TopK(k)
+        if self.measure == "dtw":
+            from ..search.cascade import dtw_early_abandon
+
+            delta = float(self.params["delta"])
+            for idx in range(self.n):
+                topk.offer(dtw_early_abandon(q, self._X[idx], delta, np.inf), idx)
+        else:
+            for pos in range(0, self.n, REFINE_CHUNK):
+                rows = np.arange(pos, min(pos + REFINE_CHUNK, self.n))
+                for idx, d in zip(rows, euclidean_refine(self._X, rows, q)):
+                    topk.offer(float(d), int(idx))
+        return topk, self.n
+
+    @property
+    def max_k(self) -> int:
+        """Largest ``k`` one search may ask for."""
+        return self.n
 
     @property
     def n(self) -> int:

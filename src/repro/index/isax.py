@@ -32,21 +32,20 @@ frame matrix, so the frozen state stays pure arrays + a tiny spec.
 from __future__ import annotations
 
 import heapq
-from typing import Mapping
 
 import numpy as np
 
-from ..exceptions import IndexBuildError, ValidationError
+from ..exceptions import IndexBuildError
 from ..representations.paa import paa_transform
 from ..representations.sax import gaussian_breakpoints
 from .base import (
     LB_SAFETY,
-    IndexSearchStats,
     ReferenceIndex,
     TopK,
+    euclidean_refine,
     register_index,
 )
-from .lower_bound import DEFAULT_WIDTH, euclidean_refine, paa_matrix
+from .lower_bound import DEFAULT_WIDTH, paa_matrix
 
 
 class _Node:
@@ -243,57 +242,34 @@ class ISAXTreeIndex(ReferenceIndex):
                     out[node.rows] = self._node_mindist(fq, node)
         return out
 
-    def search(
-        self, Q: np.ndarray, k: int, *, prune: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, IndexSearchStats]:
-        """Best-first exact top-``k`` (see :class:`ReferenceIndex.search`)."""
-        Q = np.asarray(Q, dtype=np.float64)
-        if not 1 <= k <= self.n:
-            raise ValidationError(
-                f"k must be in [1, {self.n}] for this reference set, got {k}"
-            )
-        r = Q.shape[0]
-        indices = np.empty((r, k), dtype=np.intp)
-        distances = np.empty((r, k), dtype=np.float64)
-        refined_total = 0
-        for qi in range(r):
-            q = Q[qi]
-            topk = TopK(k)
-            if not prune:
-                rows = np.arange(self.n)
-                for idx, d in zip(rows, euclidean_refine(self._X, rows, q)):
+    def _nearest(self, q: np.ndarray, k: int) -> tuple[TopK, int]:
+        """Best-first over nodes by ascending MINDIST until it loses."""
+        topk = TopK(k)
+        refined = 0
+        fq = paa_transform(q, self.segments)
+        # Heap entries carry an insertion counter so equal-MINDIST
+        # nodes pop in deterministic insertion order.
+        counter = 0
+        heap: list[tuple[float, int, _Node]] = [(0.0, counter, self._root)]
+        while heap:
+            mindist, _, node = heapq.heappop(heap)
+            if mindist * (1.0 - LB_SAFETY) > topk.threshold:
+                break  # min-heap: every remaining node loses
+            if node.is_leaf:
+                if not node.rows:
+                    continue
+                rows = np.asarray(node.rows, dtype=np.intp)
+                dists = euclidean_refine(self._X, rows, q)
+                refined += rows.shape[0]
+                for idx, d in zip(rows, dists):
                     topk.offer(float(d), int(idx))
-                refined_total += self.n
             else:
-                fq = paa_transform(q, self.segments)
-                # Heap entries carry an insertion counter so equal-MINDIST
-                # nodes pop in deterministic insertion order.
-                counter = 0
-                heap: list[tuple[float, int, _Node]] = [(0.0, counter, self._root)]
-                while heap:
-                    mindist, _, node = heapq.heappop(heap)
-                    if mindist * (1.0 - LB_SAFETY) > topk.threshold:
-                        break  # min-heap: every remaining node loses
-                    if node.is_leaf:
-                        if not node.rows:
-                            continue
-                        rows = np.asarray(node.rows, dtype=np.intp)
-                        dists = euclidean_refine(self._X, rows, q)
-                        refined_total += rows.shape[0]
-                        for idx, d in zip(rows, dists):
-                            topk.offer(float(d), int(idx))
-                    else:
-                        for child in node.children.values():
-                            counter += 1
-                            heapq.heappush(
-                                heap,
-                                (self._node_mindist(fq, child), counter, child),
-                            )
-            idx, dist = topk.result()
-            indices[qi] = idx
-            distances[qi] = dist
-        stats = IndexSearchStats(candidates=r * self.n, refined=refined_total)
-        return indices, distances, stats
+                for child in node.children.values():
+                    counter += 1
+                    heapq.heappush(
+                        heap, (self._node_mindist(fq, child), counter, child)
+                    )
+        return topk, refined
 
     # ------------------------------------------------------------------
     # serialization

@@ -25,9 +25,10 @@ Admissibility chains used here (property-tested in
   Jensen gives ``LB_PAA <= LB_Keogh <= DTW_delta`` — the classic
   "exact indexing of DTW" construction of Keogh & Ratanamahatana [75].
   With one frame per sample (``segments = m``) the frames are the
-  envelope itself and LB_PAA *is* LB_Keogh: the serving engine and the
-  search facade answer DTW through that index when none was fitted, so
-  the UCR-suite cascade [118] lives only in :meth:`_refine_dtw`.
+  envelope itself and LB_PAA *is* LB_Keogh: the reference search behind
+  the serving engine and the search facade answers DTW through that
+  index when none was fitted, so the UCR-suite cascade [118] lives only
+  in :meth:`_refine_dtw`.
 
 The refine stage is deliberately *shape-stable*: Euclidean distances are
 computed with an elementwise row reduction whose result for a given row
@@ -39,22 +40,20 @@ bitwise-identical to the ``prune=False`` exhaustive scan.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from ..distances.elastic._dp import band_width
-from ..distances.elastic.lower_bounds import lb_keogh
-from ..exceptions import IndexBuildError, ValidationError
+from ..distances.elastic.lower_bounds import keogh_bound
+from ..exceptions import IndexBuildError
 from ..representations.dft import _coefficient_weights, dft_transform
 from ..representations.paa import paa_transform
 from .base import (
     LB_SAFETY,
     REFINE_CHUNK,
-    IndexSearchStats,
     ReferenceIndex,
     TopK,
+    euclidean_refine,
     register_index,
 )
 
@@ -62,19 +61,6 @@ from .base import (
 #: filters — small enough that the filter scan is ~m/w times cheaper
 #: than the exhaustive scan, large enough to stay tight on smooth data.
 DEFAULT_WIDTH = 8
-
-
-def euclidean_refine(X: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Exact ED of ``q`` against ``X[rows]`` via a row-stable reduction.
-
-    ``((X[rows] - q) ** 2).sum(axis=1)`` reduces each row independently
-    (numpy's pairwise summation depends only on the row length), so the
-    distance computed for a row is bit-identical whether it is refined
-    alone, in a chunk, or in the full ``prune=False`` scan — unlike the
-    BLAS gemm trick, whose blocking changes with the batch shape.
-    """
-    diff = X[rows] - q
-    return np.sqrt((diff * diff).sum(axis=1))
 
 
 def paa_matrix(X: np.ndarray, segments: int) -> np.ndarray:
@@ -111,7 +97,7 @@ class _FlatLowerBoundIndex(ReferenceIndex):
     """Shared filter-and-refine core over a flat feature matrix.
 
     Subclasses provide :meth:`query_features` (and, for DTW, the
-    envelope plumbing); this class owns the ordered scan: sort
+    envelope plumbing); this class owns the per-query step: sort
     candidates by ascending lower bound, refine until the next bound —
     deflated by :data:`LB_SAFETY` — strictly exceeds the running k-th
     best distance. Admissibility makes the cut safe: a skipped
@@ -170,11 +156,8 @@ class _FlatLowerBoundIndex(ReferenceIndex):
             if keogh_stage:
                 # Tighter O(m) stage before the O(m·w) DP: the full
                 # LB_Keogh against the candidate's stored envelope.
-                keogh = lb_keogh(
-                    q,
-                    self._X[idx],
-                    delta,
-                    y_envelope=(self._envelopes[idx, 0], self._envelopes[idx, 1]),
+                keogh = keogh_bound(
+                    q, self._envelopes[idx, 0], self._envelopes[idx, 1]
                 )
                 if keogh * (1.0 - LB_SAFETY) > threshold:
                     continue
@@ -186,52 +169,13 @@ class _FlatLowerBoundIndex(ReferenceIndex):
                 topk.offer(d, int(idx))
         return topk, refined
 
-    def _brute(self, q: np.ndarray, k: int) -> tuple[TopK, int]:
-        """The pruning-disabled scan: identical arithmetic, every row."""
-        topk = TopK(k)
+    def _nearest(self, q: np.ndarray, k: int) -> tuple[TopK, int]:
+        """Refine in ascending lower-bound order until the bound loses."""
+        bounds = self.lower_bounds(q)
+        order = np.argsort(bounds, kind="stable")
         if self.measure == "dtw":
-            from ..search.cascade import dtw_early_abandon
-
-            delta = float(self.params["delta"])
-            for idx in range(self.n):
-                topk.offer(dtw_early_abandon(q, self._X[idx], delta, np.inf), idx)
-        else:
-            for pos in range(0, self.n, REFINE_CHUNK):
-                rows = np.arange(pos, min(pos + REFINE_CHUNK, self.n))
-                for idx, d in zip(rows, euclidean_refine(self._X, rows, q)):
-                    topk.offer(float(d), int(idx))
-        return topk, self.n
-
-    def search(
-        self, Q: np.ndarray, k: int, *, prune: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, IndexSearchStats]:
-        """Exact top-``k`` search (see :class:`ReferenceIndex.search`)."""
-        Q = np.asarray(Q, dtype=np.float64)
-        if not 1 <= k <= self.n:
-            raise ValidationError(
-                f"k must be in [1, {self.n}] for this reference set, got {k}"
-            )
-        r = Q.shape[0]
-        indices = np.empty((r, k), dtype=np.intp)
-        distances = np.empty((r, k), dtype=np.float64)
-        refined_total = 0
-        for qi in range(r):
-            q = Q[qi]
-            if not prune:
-                topk, refined = self._brute(q, k)
-            else:
-                bounds = self.lower_bounds(q)
-                order = np.argsort(bounds, kind="stable")
-                if self.measure == "dtw":
-                    topk, refined = self._refine_dtw(q, order, bounds, k)
-                else:
-                    topk, refined = self._refine_euclidean(q, order, bounds, k)
-            refined_total += refined
-            idx, dist = topk.result()
-            indices[qi] = idx
-            distances[qi] = dist
-        stats = IndexSearchStats(candidates=r * self.n, refined=refined_total)
-        return indices, distances, stats
+            return self._refine_dtw(q, order, bounds, k)
+        return self._refine_euclidean(q, order, bounds, k)
 
 
 @register_index
@@ -331,8 +275,11 @@ class PAALowerBoundIndex(_FlatLowerBoundIndex):
         self.segments = int(segments)
         self._scale = np.sqrt(self.series_length / self.segments)
         # frames: (n, w) scaled PAA under ED; (n, 2, w) scaled frame
-        # envelope aggregates (upper, lower) under DTW.
+        # envelope aggregates (upper, lower) under DTW. With one frame
+        # per sample (scale 1) the frames *are* the envelopes, held once.
         self._frames = np.ascontiguousarray(frames, dtype=np.float64)
+        if measure == "dtw" and self.segments == self.series_length:
+            envelopes = self._frames
         self._envelopes = (
             None
             if envelopes is None
@@ -358,10 +305,12 @@ class PAALowerBoundIndex(_FlatLowerBoundIndex):
         if "delta" not in params:
             raise IndexBuildError("paa_lb over dtw requires a 'delta' parameter")
         envelopes = envelope_matrix(X, float(params["delta"]))
-        # Frame aggregates widen the envelope (max of upper, min of
-        # lower per frame), preserving admissibility of the PAA bound.
         w = segments
         m = X.shape[1]
+        if w == m:
+            return cls(X, measure, params, segments=w, frames=envelopes)
+        # Frame aggregates widen the envelope (max of upper, min of
+        # lower per frame), preserving admissibility of the PAA bound.
         if m % w == 0:
             upper = envelopes[:, 0, :].reshape(-1, w, m // w).max(axis=2)
             lower = envelopes[:, 1, :].reshape(-1, w, m // w).min(axis=2)
@@ -399,9 +348,10 @@ class PAALowerBoundIndex(_FlatLowerBoundIndex):
         return {"kind": self.kind, "segments": self.segments}
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Persisted frame (and, under DTW, envelope) matrices."""
+        """Persisted frame (and, under DTW below full resolution,
+        envelope) matrices."""
         out = {"frames": self._frames}
-        if self._envelopes is not None:
+        if self._envelopes is not None and self._envelopes is not self._frames:
             out["envelopes"] = self._envelopes
         return out
 

@@ -12,6 +12,13 @@ point::
     profile = mass(query, long_series)      # z-normalized ED profile
     mp = matrix_profile(long_series, window=50)
     a, b, d = mp.motif()
+
+The whole-series domain of :func:`nearest_neighbors` is one call to
+:class:`repro.serving.engine.ReferenceSearch`, the top-k search the
+serving engine also answers through; every domain returns one
+:class:`NeighborResult` (``(n, k)`` indices and distances, the answering
+route as ``engine``, an :class:`~repro.index.IndexSearchStats` and
+``cache_hits``).
 """
 
 from .cascade import dtw_early_abandon

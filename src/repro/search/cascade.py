@@ -9,9 +9,10 @@ as its row minimum passes the best-so-far distance.
 
 The library runs that cascade in exactly one place: the ascending-bound
 refine of :class:`repro.index.PAALowerBoundIndex`. With one PAA frame
-per sample (``segments = m``) its LB_PAA is exactly LB_Keogh, and the
-serving engine and :func:`repro.search.nearest_neighbors` answer DTW
-that way when no index was fitted. This module keeps the DP it refines
+per sample (``segments = m``) its LB_PAA is exactly LB_Keogh, and
+:class:`repro.serving.engine.ReferenceSearch` — behind the serving
+engine and :func:`repro.search.nearest_neighbors` — answers DTW that
+way when no index was fitted. This module keeps the DP it refines
 with, :func:`dtw_early_abandon`.
 
 .. note:: **Precondition.** The cascade is *exact* for any inputs (the

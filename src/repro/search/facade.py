@@ -21,14 +21,17 @@ between them from one declarative call::
     # self-join: each subsequence's nearest non-trivial neighbor
     res = nearest_neighbors(stream, domain="profile", window=50)
 
-Every tuning argument is keyword-only; results come back as a
+The whole-series domain is one call to
+:class:`repro.serving.engine.ReferenceSearch`, the same search
+:class:`~repro.serving.QueryEngine` serves artifacts through. Every
+tuning argument is keyword-only; results come back as a
 :class:`NeighborResult` with aligned ``(n_queries, k)`` index/distance
 arrays regardless of which engine answered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -36,6 +39,7 @@ import numpy as np
 from .._validation import as_dataset, as_series
 from ..distances.base import get_measure
 from ..exceptions import ValidationError
+from ..index.base import IndexSearchStats
 from .mass import top_k_matches
 from .matrix_profile import matrix_profile
 
@@ -44,23 +48,26 @@ _DOMAINS = ("whole", "subsequence", "profile")
 
 @dataclass(frozen=True)
 class NeighborResult:
-    """Aligned neighbor indices and distances from the search facade.
+    """Aligned top-k neighbours, from every path that answers them.
 
     ``indices[i, j]`` is the reference row (domain ``"whole"``) or the
     subsequence start offset (domains ``"subsequence"`` / ``"profile"``)
     of query ``i``'s ``j``-th nearest neighbor; ``distances`` matches it
-    elementwise. Rows are sorted by ascending distance. ``engine`` names
-    which machinery answered (``"pairwise"``, ``"index:<kind>"``,
-    ``"mass"`` or ``"matrix_profile"``).
+    elementwise. Rows are sorted by ascending ``(distance, index)``.
+    ``engine`` names the route that answered: ``"sliding"``,
+    ``"matrix"`` or ``"index:<kind>"`` (the ``serve.predict`` span's
+    ``route``), ``"mass"`` or ``"matrix_profile"``. ``stats`` counts the
+    (query, candidate) pairs the search could have computed and the
+    ones it did; ``cache_hits`` counts the queries
+    :class:`~repro.serving.QueryEngine` answered from its cache (those
+    are not in ``stats``).
     """
 
     indices: np.ndarray
     distances: np.ndarray
-    k: int
-    measure: str
-    domain: str
     engine: str
-    extras: dict = field(default_factory=dict)
+    stats: IndexSearchStats
+    cache_hits: int = 0
 
     def __post_init__(self) -> None:
         if self.indices.shape != self.distances.shape:
@@ -68,57 +75,6 @@ class NeighborResult:
                 f"indices shape {self.indices.shape} != distances shape "
                 f"{self.distances.shape}"
             )
-
-
-def _whole_series(
-    queries: np.ndarray,
-    references: np.ndarray,
-    *,
-    measure: str,
-    k: int,
-    params: Mapping[str, float],
-    index: Any,
-) -> NeighborResult:
-    """Exact whole-series top-k: transient index or pairwise."""
-    m = get_measure(measure)
-    resolved = m.resolve_params(params)
-    if queries.shape[1] != references.shape[1]:
-        raise ValidationError(
-            f"queries have length {queries.shape[1]} but references have "
-            f"length {references.shape[1]}"
-        )
-    if not 1 <= k <= references.shape[0]:
-        raise ValidationError(
-            f"k must be in [1, {references.shape[0]}], got {k}"
-        )
-    if index is None and m.name == "dtw":
-        # The UCR-suite LB_Keogh -> early-abandon search: paa_lb with one
-        # frame per sample, where LB_PAA is exactly LB_Keogh.
-        index = {"kind": "paa_lb", "segments": references.shape[1]}
-    if index is not None:
-        from ..index import build_index
-
-        built = build_index(index, references, measure=m.name, params=resolved)
-        indices, distances, stats = built.search(queries, k)
-        return NeighborResult(
-            indices=indices,
-            distances=distances,
-            k=k,
-            measure=m.name,
-            domain="whole",
-            engine=f"index:{built.kind}",
-            extras={"index_stats": stats.to_dict(), "exact": built.exact},
-        )
-    matrix = m.pairwise(queries, references, **resolved)
-    order = np.argsort(matrix, axis=1, kind="stable")[:, :k]
-    return NeighborResult(
-        indices=order.astype(np.intp),
-        distances=np.take_along_axis(matrix, order, axis=1),
-        k=k,
-        measure=m.name,
-        domain="whole",
-        engine="pairwise",
-    )
 
 
 def _subsequence(
@@ -137,13 +93,12 @@ def _subsequence(
         for j, (idx, dist) in enumerate(hits[:k]):
             indices[i, j] = idx
             distances[i, j] = dist
+    pairs = queries.shape[0] * (series.shape[0] - queries.shape[1] + 1)
     return NeighborResult(
         indices=indices,
         distances=distances,
-        k=k,
-        measure="zeuclidean",
-        domain="subsequence",
         engine="mass",
+        stats=IndexSearchStats(candidates=pairs, refined=pairs),
     )
 
 
@@ -161,18 +116,20 @@ def nearest_neighbors(
 ) -> NeighborResult:
     """Find nearest neighbors across every search domain the library has.
 
-    Keyword-only facade over the pairwise scan, the :mod:`repro.index`
-    lower-bound/ANN indexes, MASS subsequence search and the matrix
-    profile. All arguments after ``references`` are keyword-only.
+    Keyword-only facade over the reference search, MASS subsequence
+    search and the matrix profile. All arguments after ``references``
+    are keyword-only.
 
     - ``domain="whole"`` (default): ``queries`` is ``(r, m)``,
       ``references`` is ``(n, m)``; top-``k`` rows under ``measure`` with
-      ``params``. Pass ``index=`` (a kind name or spec mapping, e.g.
+      ``params``, answered by
+      :class:`~repro.serving.engine.ReferenceSearch` exactly as a
+      :class:`~repro.serving.QueryEngine` without normalization would
+      answer. Pass ``index=`` (a kind name or spec mapping, e.g.
       ``"dft_lb"`` or ``{"kind": "paa_lb", "segments": 16}``) to search
-      through a transient :mod:`repro.index` structure instead of the
-      exhaustive scan — exact kinds return identical answers. DTW
-      without ``index=`` is searched through a transient full-resolution
-      ``paa_lb`` (the UCR-suite LB_Keogh -> early-abandon cascade).
+      through a transient :mod:`repro.index` structure — exact kinds
+      return identical answers, approximate kinds answer in
+      ``mode="approx"``.
     - ``domain="subsequence"``: ``queries`` is one pattern or a batch of
       patterns; ``references`` is the long series scanned with MASS
       (z-normalized ED). ``exclusion`` is the trivial-match radius.
@@ -205,14 +162,12 @@ def nearest_neighbors(
             )
         series = as_series(queries, "queries")
         mp = matrix_profile(series, window=window)
+        pairs = mp.profile.shape[0] ** 2
         return NeighborResult(
             indices=np.asarray(mp.indices, dtype=np.intp).reshape(-1, 1),
             distances=np.asarray(mp.profile, dtype=np.float64).reshape(-1, 1),
-            k=1,
-            measure="zeuclidean",
-            domain="profile",
             engine="matrix_profile",
-            extras={"window": int(window)},
+            stats=IndexSearchStats(candidates=pairs, refined=pairs),
         )
     if references is None:
         raise ValidationError(f"domain={domain!r} requires references")
@@ -220,11 +175,17 @@ def nearest_neighbors(
         series = as_series(references, "references")
         batch = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         return _subsequence(batch, series, k=k, exclusion=exclusion)
-    return _whole_series(
-        as_dataset(queries, "queries"),
-        as_dataset(references, "references"),
-        measure=measure,
-        k=k,
-        params=dict(params or {}),
-        index=index,
+    from ..index import build_index
+    from ..serving.engine import ReferenceSearch
+
+    references = as_dataset(references, "references")
+    m = get_measure(measure)
+    resolved = m.resolve_params(dict(params or {}))
+    built = (
+        ()
+        if index is None
+        else (build_index(index, references, measure=m.name, params=resolved),)
     )
+    searcher = ReferenceSearch(references, m, resolved, indexes=built)
+    mode = "approx" if built and not built[0].exact else "exact"
+    return searcher.search(queries, k, mode=mode)

@@ -8,8 +8,11 @@ answer live traffic, in three layers:
   save/load as a content-hash-verified ``.npz`` + JSON manifest;
 - :class:`QueryEngine` (:mod:`repro.serving.engine`) — batched top-k
   search (``search(queries, k=..., mode="exact"|"approx"|"brute")``)
-  with per-family fast paths, optional sub-linear reference indexes
-  (:mod:`repro.index`) and a bounded LRU query cache;
+  through :class:`ReferenceSearch`, the library's one nearest-neighbour
+  core (per-family fast paths built when the engine is constructed,
+  optional sub-linear reference indexes from :mod:`repro.index`), plus
+  query normalization and a bounded LRU query cache; both return one
+  :class:`~repro.search.NeighborResult`;
 - :class:`ReproServer` (:mod:`repro.serving.server`) — a stdlib
   ``ThreadingHTTPServer`` with load shedding (503 + ``Retry-After``),
   ``/healthz``, ``/metrics``, live ``/stream`` ingestion endpoints
@@ -29,7 +32,7 @@ Quickstart::
 """
 
 from .artifact import ARTIFACT_SCHEMA, ModelArtifact
-from .engine import SEARCH_MODES, CacheStats, Prediction, QueryEngine
+from .engine import SEARCH_MODES, CacheStats, QueryEngine, ReferenceSearch
 from .server import (
     DEFAULT_MAX_INFLIGHT,
     AdmissionGate,
@@ -47,7 +50,7 @@ __all__ = [
     "ARTIFACT_SCHEMA",
     "ModelArtifact",
     "QueryEngine",
-    "Prediction",
+    "ReferenceSearch",
     "CacheStats",
     "SEARCH_MODES",
     "ReproServer",

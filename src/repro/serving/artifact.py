@@ -1,4 +1,4 @@
-"""Fitted serving artifacts: a frozen reference set plus precomputations.
+"""Fitted serving artifacts: a frozen reference set plus its indexes.
 
 The offline evaluation stack answers "which measure should we deploy?";
 this module packages the answer so it can actually be deployed. A
@@ -7,11 +7,11 @@ this module packages the answer so it can actually be deployed. A
 - the **reference set** (the training split), already normalized with the
   chosen Section-4 method so queries pay normalization once per series,
   never per comparison;
-- **measure-specific precomputations** — conjugated reference FFTs and
-  norms for the sliding family (Eq. 10's :math:`\\mathcal{F}(\\vec y)`
-  side never changes between queries), and LB_Keogh candidate envelopes
-  for banded DTW (the O(n·m·w) filter of the engine's full-resolution
-  ``paa_lb`` search);
+- any **fitted reference indexes** (:mod:`repro.index`), whose specs
+  join the fingerprint; the structures a route derives from the
+  reference set alone (reference FFTs for the sliding family, LB_Keogh
+  envelopes for banded DTW) are not stored but built when the
+  :class:`~repro.serving.QueryEngine` is constructed;
 - a **content-hash fingerprint** over the reference arrays and every
   knob, built from the same :func:`~repro.evaluation.engine.keys.content_key`
   machinery that keys sweep checkpoints — so two artifacts fitted from
@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -38,11 +38,9 @@ import numpy as np
 from .._validation import as_dataset, as_labels
 from ..distances.backends import active_backend
 from ..distances.base import DistanceMeasure, get_measure
-from ..distances.sliding.cross_correlation import sliding_reference
 from ..evaluation.engine.keys import content_key
 from ..exceptions import ArtifactError
 from ..index import build_index, normalize_index_specs, restore_index
-from ..index.lower_bound import envelope_matrix
 from ..normalization import get_normalizer
 
 #: Artifact layout identifier; bumped whenever the on-disk format changes.
@@ -50,9 +48,6 @@ ARTIFACT_SCHEMA = "repro.artifact/1"
 
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
-
-#: Measures served through the precomputed-FFT sliding path.
-SLIDING_MEASURES = frozenset({"ncc", "nccb", "nccu", "nccc"})
 
 
 def _array_digest(array: np.ndarray) -> str:
@@ -92,9 +87,6 @@ class ModelArtifact:
         Normalized ``(n, m)`` float64 reference series.
     train_y:
         Integer labels, shape ``(n,)``.
-    precomputed:
-        Measure-specific derived arrays (``sliding_fft_conj`` /
-        ``sliding_norms`` or ``envelopes``); possibly empty.
     fingerprint:
         Content hash over the reference arrays and every config knob.
     backend:
@@ -120,7 +112,6 @@ class ModelArtifact:
     params: dict[str, float]
     train_X: np.ndarray
     train_y: np.ndarray
-    precomputed: dict[str, np.ndarray] = field(default_factory=dict)
     fingerprint: str = ""
     created_unix: float = 0.0
     backend: str = "reference"
@@ -145,8 +136,8 @@ class ModelArtifact:
 
         Normalizes the training series (per-series methods only — the
         pairwise AdaptiveScaling cannot be frozen into a reference set
-        and is rejected), resolves the measure's parameters, and runs the
-        measure-specific precomputations.
+        and is rejected), resolves the measure's parameters, and builds
+        the requested indexes.
 
         ``index`` optionally requests one or more reference indexes for
         the sub-linear query path: a kind name (``"dft_lb"``), a mapping
@@ -173,15 +164,6 @@ class ModelArtifact:
             X = norm.apply_dataset(X)
             norm_name = norm.name
         X = np.ascontiguousarray(X, dtype=np.float64)
-
-        precomputed: dict[str, np.ndarray] = {}
-        if m.name in SLIDING_MEASURES:
-            reference = sliding_reference(X)
-            precomputed["sliding_fft_conj"] = reference.fft_conj
-            precomputed["sliding_norms"] = reference.norms
-        elif m.name == "dtw":
-            precomputed["envelopes"] = envelope_matrix(X, resolved["delta"])
-
         requested = normalize_index_specs(index)
         indexes = tuple(
             build_index(spec, X, measure=m.name, params=resolved)
@@ -198,7 +180,6 @@ class ModelArtifact:
             params=resolved,
             train_X=X,
             train_y=y,
-            precomputed=precomputed,
             fingerprint=fingerprint,
             created_unix=round(time.time(), 3),
             backend=active_backend(m),
@@ -222,8 +203,8 @@ class ModelArtifact:
     ) -> str:
         """Logical identity: config + reference values (not derived data).
 
-        Precomputed arrays are deterministic functions of these inputs,
-        so they are excluded — refitting from the same data always
+        Derived arrays are deterministic functions of these inputs, so
+        they are excluded — refitting from the same data always
         reproduces the same fingerprint. Index *specs* are included (only
         when present, so legacy index-free fingerprints are unchanged):
         the stored index arrays are again deterministic given the specs,
@@ -280,18 +261,14 @@ class ModelArtifact:
     def save(self, path: str | Path) -> Path:
         """Write the artifact into directory ``path`` and return it.
 
-        Layout: ``arrays.npz`` (reference + precomputed arrays) and
+        Layout: ``arrays.npz`` (reference + index arrays) and
         ``manifest.json`` (config, shapes, fingerprint, per-array
         digests). The manifest is written last so a crash mid-save leaves
         a directory that :meth:`load` cleanly rejects.
         """
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
-        arrays = {
-            "train_X": self.train_X,
-            "train_y": self.train_y,
-            **self.precomputed,
-        }
+        arrays = {"train_X": self.train_X, "train_y": self.train_y}
         # Index arrays are namespaced per index position so two indexes
         # can both store e.g. a "frames" array without colliding.
         index_arrays: list[str] = []
@@ -303,7 +280,6 @@ class ModelArtifact:
         manifest = {
             **self.describe(),
             "created_unix": self.created_unix,
-            "precomputed": sorted(self.precomputed),
             "index_arrays": sorted(index_arrays),
             "array_digests": {
                 name: _array_digest(arr) for name, arr in arrays.items()
@@ -322,7 +298,9 @@ class ModelArtifact:
         for it, and the reference arrays plus config must reproduce the
         manifest's logical fingerprint; any mismatch raises
         :class:`~repro.exceptions.ArtifactError` rather than serving
-        silently-wrong answers.
+        silently-wrong answers. Older artifacts also stored derived
+        arrays under ``precomputed``; those are verified like the rest
+        and then ignored.
         """
         directory = Path(path)
         manifest_path = directory / MANIFEST_NAME
@@ -384,9 +362,6 @@ class ModelArtifact:
                 f"{directory}: fingerprint mismatch (manifest "
                 f"{manifest['fingerprint']}, recomputed {fingerprint})"
             )
-        precomputed = {
-            name: arrays[name] for name in manifest.get("precomputed", [])
-        }
         train_X = np.ascontiguousarray(arrays["train_X"], dtype=np.float64)
         indexes = []
         for i, spec in enumerate(index_specs):
@@ -413,7 +388,6 @@ class ModelArtifact:
             train_y=as_labels(
                 arrays["train_y"], arrays["train_X"].shape[0], "train_y"
             ),
-            precomputed=precomputed,
             fingerprint=fingerprint,
             created_unix=float(manifest.get("created_unix", 0.0)),
             backend=manifest.get("backend", "reference"),

@@ -613,25 +613,26 @@ class _Handler(BaseHTTPRequestHandler):
             queries = _parse_queries(payload)
             k, mode, index, schema = _parse_search_options(payload)
             result = server.engine.search(queries, k=k, mode=mode, index=index)
+            labels = server.engine.artifact.train_y[result.indices[:, 0]]
             if schema == 1:
                 return 200, {
-                    "labels": result.labels.tolist(),
-                    "indices": result.indices.tolist(),
-                    "distances": result.distances.tolist(),
+                    "labels": labels.tolist(),
+                    "indices": result.indices[:, 0].tolist(),
+                    "distances": result.distances[:, 0].tolist(),
                     "cache_hits": result.cache_hits,
-                    "batch": int(result.labels.shape[0]),
+                    "batch": int(labels.shape[0]),
                 }
             return 200, {
                 "schema": 2,
-                "labels": result.labels.tolist(),
-                "neighbor_indices": result.neighbor_indices.tolist(),
-                "neighbor_distances": result.neighbor_distances.tolist(),
-                "k": result.k,
-                "mode": result.mode,
+                "labels": labels.tolist(),
+                "neighbor_indices": result.indices.tolist(),
+                "neighbor_distances": result.distances.tolist(),
+                "k": k,
+                "mode": mode,
                 "cache_hits": result.cache_hits,
-                "pruned": result.pruned,
-                "full_computations": result.full_computations,
-                "batch": int(result.labels.shape[0]),
+                "pruned": result.stats.pruned,
+                "full_computations": result.stats.refined,
+                "batch": int(labels.shape[0]),
             }
         except ReproError as exc:
             return getattr(exc, "status", 400), {"error": str(exc)}

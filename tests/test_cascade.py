@@ -19,8 +19,7 @@ def cascade_search(query, corpus, delta):
         query[None, :], corpus, measure="dtw", params={"delta": delta}
     )
     assert res.engine == "index:paa_lb"
-    stats = res.extras["index_stats"]
-    return int(res.indices[0, 0]), float(res.distances[0, 0]), stats
+    return int(res.indices[0, 0]), float(res.distances[0, 0]), res.stats
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +64,15 @@ class TestCascadeSearch:
     def test_stats_partition_candidates(self, corpus, rng):
         query = corpus[0] + rng.normal(0, 0.1, size=48)
         _, _, stats = cascade_search(query, corpus, 10.0)
-        assert stats["candidates"] == corpus.shape[0]
-        assert stats["pruned"] + stats["refined"] == stats["candidates"]
+        assert stats.candidates == corpus.shape[0]
+        assert stats.pruned + stats.refined == stats.candidates
 
     def test_cascade_prunes_diverse_corpus(self, corpus, rng):
         query = corpus[0] + rng.normal(0, 0.1, size=48)
         _, _, stats = cascade_search(query, corpus, 10.0)
         # The 12 offset-by-5i rows are trivially far: most must be pruned
         # by their bound before any DTW.
-        assert stats["pruning_rate"] > 0.3
+        assert stats.pruning_rate > 0.3
 
     def test_pruning_rate_zero_on_empty_stats(self):
         assert IndexSearchStats(candidates=0, refined=0).pruning_rate == 0.0

@@ -260,16 +260,12 @@ class TestSerialization:
         assert loaded.index_specs == art.index_specs
         before = QueryEngine(art).search(Q, k=3)
         after = QueryEngine(loaded).search(Q, k=3)
-        np.testing.assert_array_equal(
-            before.neighbor_indices, after.neighbor_indices
-        )
-        np.testing.assert_array_equal(
-            before.neighbor_distances, after.neighbor_distances
-        )
+        np.testing.assert_array_equal(before.indices, after.indices)
+        np.testing.assert_array_equal(before.distances, after.distances)
         ap_before = QueryEngine(art).search(Q, k=1, mode="approx")
         ap_after = QueryEngine(loaded).search(Q, k=1, mode="approx")
         np.testing.assert_array_equal(
-            ap_before.neighbor_indices, ap_after.neighbor_indices
+            ap_before.indices, ap_after.indices
         )
 
     def test_index_changes_fingerprint(self, workload):
@@ -318,34 +314,22 @@ class TestEngineModes:
         _, _, Q = workload
         exact = engine.search(Q, k=3, mode="exact")
         brute = engine.search(Q, k=3, mode="brute")
-        np.testing.assert_array_equal(
-            exact.neighbor_indices, brute.neighbor_indices
-        )
-        np.testing.assert_array_equal(
-            exact.neighbor_distances, brute.neighbor_distances
-        )
-        assert exact.pruned > 0 and brute.pruned == 0
+        np.testing.assert_array_equal(exact.indices, brute.indices)
+        np.testing.assert_array_equal(exact.distances, brute.distances)
+        assert exact.stats.pruned > 0 and brute.stats.pruned == 0
 
     def test_predict_is_k1_search(self, workload, engine):
         _, _, Q = workload
         labels = engine.predict(Q)
-        np.testing.assert_array_equal(labels, engine.search(Q).labels)
-
-    def test_k1_squeeze_back_compat(self, workload, engine):
-        _, _, Q = workload
-        p1 = engine.search(Q, k=1)
-        assert p1.neighbor_indices.shape == (Q.shape[0], 1)
-        assert p1.indices.shape == (Q.shape[0],)  # documented squeeze
-        p3 = engine.search(Q, k=3)
-        assert p3.indices.shape == (Q.shape[0], 3)
+        top = engine.search(Q).indices
+        assert top.shape == (Q.shape[0], 1)
+        np.testing.assert_array_equal(labels, engine.artifact.train_y[top[:, 0]])
 
     def test_named_index_selection(self, workload, engine):
         _, _, Q = workload
         named = engine.search(Q, k=2, index="dft_lb")
         default = engine.search(Q, k=2)
-        np.testing.assert_array_equal(
-            named.neighbor_indices, default.neighbor_indices
-        )
+        np.testing.assert_array_equal(named.indices, default.indices)
         with pytest.raises(ServingError, match="no fitted index"):
             engine.search(Q, index="paa_lb")
 
@@ -388,7 +372,7 @@ class TestEngineModes:
         matrix_order = np.argsort(
             ((Q[:, None, :] - X[None]) ** 2).sum(axis=2), axis=1, kind="stable"
         )[:, :4]
-        np.testing.assert_array_equal(pred.neighbor_indices, matrix_order)
+        np.testing.assert_array_equal(pred.indices, matrix_order)
 
 
 class TestFacade:
@@ -403,7 +387,6 @@ class TestFacade:
             plain.distances, indexed.distances, rtol=1e-9
         )
         assert indexed.engine == "index:paa_lb"
-        assert indexed.extras["exact"] is True
 
     def test_dtw_cascade_route(self, workload):
         """DTW without index= runs the LB_Keogh -> early-abandon cascade
@@ -413,8 +396,7 @@ class TestFacade:
             Q[:3], X[:40], measure="dtw", k=1, params={"delta": 10.0}
         )
         assert res.engine == "index:paa_lb"
-        assert res.extras["exact"] is True
-        assert res.extras["index_stats"]["pruned"] > 0
+        assert res.stats.pruned > 0
         true = np.array([[dtw(q, x, 10.0) for x in X[:40]] for q in Q[:3]])
         np.testing.assert_array_equal(
             res.indices[:, 0], true.argmin(axis=1)
@@ -496,8 +478,8 @@ class TestDTWTieOracle:
         art, Q, _, E = case
         pred = QueryEngine(art).search(Q, k=k, mode=mode)
         idx, dist = self.oracle(E, k)
-        np.testing.assert_array_equal(pred.neighbor_indices, idx)
-        np.testing.assert_array_equal(pred.neighbor_distances, dist)
+        np.testing.assert_array_equal(pred.indices, idx)
+        np.testing.assert_array_equal(pred.distances, dist)
 
     @pytest.mark.parametrize("k", [1, 3, N])
     def test_facade(self, case, k):
@@ -522,3 +504,102 @@ class TestDTWTieOracle:
             got_idx, got_dist, _ = index.search(Qn, k, prune=prune)
             np.testing.assert_array_equal(got_idx, idx)
             np.testing.assert_array_equal(got_dist, dist)
+
+
+class TestOneCoreParity:
+    """``nearest_neighbors(domain="whole")`` and ``QueryEngine.search``
+    (no normalization) are one search: indices and distances bitwise
+    equal on every route, and equal to stable argsort over ``pairwise``
+    wherever no index answers."""
+
+    DTW = {"delta": 10.0}
+    CASES = [
+        ("nccc", None, None),
+        ("nccu", None, None),
+        ("euclidean", None, None),
+        ("msm", None, None),
+        ("dtw", DTW, None),
+        ("euclidean", None, "dft_lb"),
+        ("euclidean", None, "paa_lb"),
+        ("euclidean", None, "isax"),
+        ("dtw", DTW, "paa_lb"),
+    ]
+    WORKLOADS = [
+        "more_rows_than_one_block",
+        "zero_row",
+        "constant_rows",
+        "duplicate_rows",
+        "large_offset",
+        "length_1",
+        "length_2",
+        "clustered",
+    ]
+
+    @pytest.fixture(scope="class")
+    def workloads(self, adversarial_batches):
+        """``(references, queries)`` per workload: the first rows
+        themselves (exact ties on duplicates) plus perturbed copies."""
+        rng = np.random.default_rng(5)
+        out = {}
+        for name, X in adversarial_batches.items():
+            Q = np.vstack(
+                [X[:3], X[:3] + 0.01 * rng.normal(size=(3, X.shape[1]))]
+            )
+            out[name] = (X, Q)
+        X, _, Q = clustered_dataset()
+        out["clustered"] = (X[::4], Q[:4])
+        return out
+
+    @pytest.mark.parametrize("k", ["1", "3", "n"])
+    @pytest.mark.parametrize("workload_name", WORKLOADS)
+    @pytest.mark.parametrize(
+        "measure,params,index", CASES,
+        ids=[f"{m}-{ix or 'scan'}" for m, _, ix in CASES],
+    )
+    def test_facade_equals_engine(
+        self, workloads, workload_name, measure, params, index, k
+    ):
+        X, Q = workloads[workload_name]
+        k = X.shape[0] if k == "n" else int(k)
+        try:
+            art = ModelArtifact.fit(
+                X, np.arange(X.shape[0]) % 2, measure=measure,
+                params=params, index=index,
+            )
+        except IndexBuildError:
+            pytest.skip(f"{index} rejects shape {X.shape}")
+        served = QueryEngine(art).search(Q, k=k)
+        res = nearest_neighbors(
+            Q, X, measure=measure, k=k, params=params, index=index
+        )
+        assert isinstance(res, NeighborResult)
+        assert res.engine == served.engine
+        np.testing.assert_array_equal(res.indices, served.indices)
+        np.testing.assert_array_equal(res.distances, served.distances)
+        if index is None:
+            E = get_measure(measure).pairwise(Q, X, **(params or {}))
+            order = np.argsort(E, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(res.indices, order)
+            np.testing.assert_array_equal(
+                res.distances, np.take_along_axis(E, order, axis=1)
+            )
+
+
+def test_fitted_paa_dtw_refine_is_exact_and_counts_unchanged():
+    """A fitted ``paa_lb`` below full resolution (8 segments) over DTW
+    answers like stable argsort over ``pairwise("dtw")``, bitwise, and
+    its LB_Keogh stage refines exactly as many candidates as the
+    validating ``lb_keogh`` per survivor did (counts recorded with it)."""
+    X, _, Q = clustered_dataset()
+    X, Q = X[:120], Q[:6]
+    index = build_index(
+        {"kind": "paa_lb", "segments": 8}, X, measure="dtw",
+        params={"delta": 10.0},
+    )
+    E = get_measure("dtw").pairwise(Q, X, delta=10.0)
+    for k, refined in ((1, 152), (3, 354), (120, 720)):
+        idx, dist, stats = index.search(Q, k)
+        order = np.argsort(E, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(idx, order)
+        np.testing.assert_array_equal(dist, np.take_along_axis(E, order, axis=1))
+        assert stats.refined == refined

@@ -1,5 +1,7 @@
 """Tests for the kernel ridge classifier (Section 9 extension)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,10 @@ from repro.classification.kernel_classifier import (
     KernelRidgeClassifier,
     kernel_matrix,
 )
+from repro.distances.kernels.gak import gak_log_kernel
+from repro.distances.kernels.kdtw import kdtw_similarity
+from repro.distances.kernels.rbf import rbf_kernel
+from repro.distances.kernels.sink import sink_similarity
 from repro.exceptions import EvaluationError, ParameterError
 
 
@@ -31,6 +37,32 @@ class TestKernelMatrix:
     def test_unknown_kernel_rejected(self, rng):
         with pytest.raises(ParameterError):
             kernel_matrix("nope", rng.normal(size=(2, 8)))
+
+    @pytest.mark.parametrize("name", ["rbf", "sink", "gak", "kdtw"])
+    def test_matches_pair_definitions(self, name, rng):
+        """The registry-built matrix equals the per-pair kernel, to a
+        relative 1e-12 — including RBF similarities far below 1e-16."""
+        X = rng.normal(size=(6, 24))
+        Y = rng.normal(size=(4, 24))
+        gamma = {"rbf": 2.0, "sink": 5.0, "gak": 0.1, "kdtw": 0.125}[name]
+
+        def pair(x, y):
+            if name == "rbf":
+                return rbf_kernel(x, y, gamma)
+            if name == "sink":
+                return sink_similarity(x, y, gamma)
+            if name == "kdtw":
+                return kdtw_similarity(x, y, gamma)
+            log_xy = gak_log_kernel(x, y, gamma)
+            log_xx, log_yy = gak_log_kernel(x, x, gamma), gak_log_kernel(y, y, gamma)
+            return math.exp(min(0.0, log_xy - 0.5 * (log_xx + log_yy)))
+
+        for A, B in ((X, None), (X, Y)):
+            cols = A if B is None else B
+            want = np.array([[pair(a, b) for b in cols] for a in A])
+            np.testing.assert_allclose(
+                kernel_matrix(name, A, B, gamma=gamma), want, rtol=1e-12
+            )
 
 
 class TestKernelRidgeClassifier:

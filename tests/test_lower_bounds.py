@@ -92,7 +92,7 @@ class TestPruning:
         exhaustive = [dtw(query, c, 10.0) for c in candidates]
         assert res.indices[0, 0] == int(np.argmin(exhaustive))
         assert res.distances[0, 0] == min(exhaustive)
-        assert 1 <= res.extras["index_stats"]["refined"] <= candidates.shape[0]
+        assert 1 <= res.stats.refined <= candidates.shape[0]
 
     def test_pruning_actually_prunes_easy_case(self, rng):
         # One near-identical candidate among far-away ones: the bound
@@ -104,4 +104,4 @@ class TestPruning:
         res = nearest_neighbors(
             base, candidates, measure="dtw", params={"delta": 10.0}
         )
-        assert res.extras["index_stats"]["refined"] < candidates.shape[0]
+        assert res.stats.refined < candidates.shape[0]

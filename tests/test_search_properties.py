@@ -7,15 +7,12 @@ early-abandoning DTW) is the DTW route of the search facade and of the
 serving engine: a full-resolution ``paa_lb`` index.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distances.elastic import dtw
-from repro.exceptions import ServingError
 from repro.normalization import zscore
 from repro.search import mass, matrix_profile, nearest_neighbors
 from repro.serving import ModelArtifact, QueryEngine
@@ -57,31 +54,23 @@ class TestCascadeExactness:
     @given(corpora(), st.sampled_from([0.0, 10.0, 100.0]), KS)
     @settings(max_examples=25, deadline=None)
     def test_precomputed_envelopes_stay_exact(self, data, delta, k):
-        """The serving path (candidate envelopes stored in the artifact
-        and amortized across queries) returns the exhaustive top-k."""
+        """The serving path (candidate envelopes built once when the
+        engine is constructed and amortized across queries) returns the
+        exhaustive top-k."""
         corpus, query = data
         k = min(k, corpus.shape[0])
         art = ModelArtifact.fit(
             corpus, np.arange(corpus.shape[0]), measure="dtw",
             params={"delta": delta},
         )
-        assert art.precomputed["envelopes"].shape == (
+        engine = QueryEngine(art)
+        assert engine.searcher._exact[0].arrays()["frames"].shape == (
             corpus.shape[0], 2, corpus.shape[1]
         )
-        pred = QueryEngine(art).search(query, k=k)
+        pred = engine.search(query, k=k)
         idx, dist = exhaustive_topk(query, corpus, delta, k)
-        np.testing.assert_array_equal(pred.neighbor_indices[0], idx)
-        np.testing.assert_array_equal(pred.neighbor_distances[0], dist)
-
-    def test_envelope_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(0)
-        corpus = rng.normal(size=(4, 16))
-        art = ModelArtifact.fit(
-            corpus, np.arange(4), measure="dtw", params={"delta": 10.0}
-        )
-        bad = replace(art, precomputed={"envelopes": np.zeros((4, 2, 8))})
-        with pytest.raises(ServingError, match="envelopes"):
-            QueryEngine(bad)
+        np.testing.assert_array_equal(pred.indices[0], idx)
+        np.testing.assert_array_equal(pred.distances[0], dist)
 
 
 class TestMassOracle:

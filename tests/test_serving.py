@@ -17,10 +17,12 @@ from __future__ import annotations
 import base64
 import io
 import json
+import shutil
 import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from repro.serving import (
 )
 
 #: (measure, normalization, params) triples spanning every engine route:
-#: lock-step matrix kernel, sliding precomputed-FFT, banded DTW through
+#: lock-step matrix kernel, sliding reference-FFT, banded DTW through
 #: the full-resolution paa_lb index (the LB_Keogh -> early-abandon
 #: cascade), and the generic matrix fallback of the other elastic
 #: measures.
@@ -99,11 +101,6 @@ class TestModelArtifact:
         assert loaded.normalization == "zscore"
         np.testing.assert_array_equal(loaded.train_X, art.train_X)
         np.testing.assert_array_equal(loaded.train_y, art.train_y)
-        assert set(loaded.precomputed) == set(art.precomputed)
-        for name in art.precomputed:
-            np.testing.assert_array_equal(
-                loaded.precomputed[name], art.precomputed[name]
-            )
 
     def test_fingerprint_is_config_and_data_sensitive(self, dataset):
         base = ModelArtifact.fit_dataset(dataset, measure="nccc")
@@ -122,20 +119,31 @@ class TestModelArtifact:
             perturbed, dataset.train_y, measure="nccc"
         ).fingerprint
 
-    def test_precomputations_per_family(self, dataset):
-        sliding = ModelArtifact.fit_dataset(dataset, measure="nccc")
-        assert set(sliding.precomputed) == {
-            "sliding_fft_conj", "sliding_norms",
-        }
-        elastic = ModelArtifact.fit_dataset(
-            dataset, measure="dtw", params={"delta": 10.0}
+    def test_precomputations_per_family(self, dataset, tmp_path):
+        """Derived arrays are built by the engine, never stored: only
+        the reference arrays reach ``arrays.npz``."""
+        n, m = dataset.train_X.shape
+        for measure, params in (
+            ("nccc", None), ("dtw", {"delta": 10.0}), ("euclidean", None),
+        ):
+            art = ModelArtifact.fit_dataset(
+                dataset, measure=measure, params=params
+            )
+            path = art.save(tmp_path / measure)
+            with np.load(path / "arrays.npz") as bundle:
+                assert sorted(bundle.files) == ["train_X", "train_y"]
+        sliding = QueryEngine(ModelArtifact.fit_dataset(dataset, measure="nccc"))
+        assert sliding.searcher._reference.fft_conj.shape[0] == n
+        elastic = QueryEngine(
+            ModelArtifact.fit_dataset(
+                dataset, measure="dtw", params={"delta": 10.0}
+            )
         )
-        assert set(elastic.precomputed) == {"envelopes"}
-        assert elastic.precomputed["envelopes"].shape == (
-            dataset.train_X.shape[0], 2, dataset.train_X.shape[1],
-        )
-        lockstep = ModelArtifact.fit_dataset(dataset, measure="euclidean")
-        assert lockstep.precomputed == {}
+        (full,) = elastic.searcher._exact
+        assert full.segments == m
+        # At one frame per sample the frames are the envelopes, held once.
+        assert set(full.arrays()) == {"frames"}
+        assert full.arrays()["frames"].shape == (n, 2, m)
 
     def test_pairwise_normalization_rejected(self, dataset):
         with pytest.raises(ArtifactError, match="pairwise"):
@@ -173,6 +181,77 @@ class TestModelArtifact:
         with pytest.raises(ArtifactError, match="schema"):
             ModelArtifact.load(path)
         assert ARTIFACT_SCHEMA == "repro.artifact/1"
+
+
+#: Artifacts written while derived arrays were still stored (see
+#: :class:`TestParentFormatArtifacts`).
+PARENT_ARTIFACTS = Path(__file__).parent / "data" / "parent_artifacts"
+
+
+class TestParentFormatArtifacts:
+    """Artifacts whose manifests list stored ``precomputed`` arrays (the
+    sliding FFTs and norms, the DTW envelopes) still load, verify and
+    answer. They were saved by the last commit that stored those arrays,
+    from the repository root, with::
+
+        PYTHONPATH=src python -c "
+        import numpy as np
+        from repro.serving import ModelArtifact
+        rng = np.random.default_rng(1717)
+        X = rng.normal(size=(6, 16)); y = np.arange(6) % 2
+        ModelArtifact.fit(X, y, measure='nccc', normalization='zscore'
+            ).save('tests/data/parent_artifacts/nccc')
+        ModelArtifact.fit(X, y, measure='dtw', normalization='zscore',
+            params={'delta': 10.0}).save('tests/data/parent_artifacts/dtw')
+        "
+    """
+
+    CASES = {"nccc": None, "dtw": {"delta": 10.0}}
+
+    @staticmethod
+    def fresh_fit(measure, params):
+        rng = np.random.default_rng(1717)
+        X = rng.normal(size=(6, 16))
+        return ModelArtifact.fit(
+            X, np.arange(6) % 2, measure=measure, normalization="zscore",
+            params=params,
+        )
+
+    @pytest.mark.parametrize("measure", sorted(CASES))
+    def test_loads_with_recorded_fingerprint(self, measure):
+        path = PARENT_ARTIFACTS / measure
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["precomputed"], "fixture lost its stored arrays"
+        loaded = ModelArtifact.load(path)
+        assert loaded.fingerprint == manifest["fingerprint"]
+        fresh = self.fresh_fit(measure, self.CASES[measure])
+        assert fresh.fingerprint == manifest["fingerprint"]
+
+    @pytest.mark.parametrize("measure", sorted(CASES))
+    def test_answers_like_a_fresh_fit(self, measure):
+        loaded = QueryEngine(ModelArtifact.load(PARENT_ARTIFACTS / measure))
+        fresh = QueryEngine(self.fresh_fit(measure, self.CASES[measure]))
+        queries = np.random.default_rng(3).normal(size=(5, 16))
+        for k in (1, 3, 6):
+            for mode in ("exact", "brute"):
+                got = loaded.search(queries, k=k, mode=mode)
+                want = fresh.search(queries, k=k, mode=mode)
+                np.testing.assert_array_equal(got.indices, want.indices)
+                np.testing.assert_array_equal(got.distances, want.distances)
+
+    @pytest.mark.parametrize("measure", sorted(CASES))
+    def test_flipped_stored_array_byte_refused(self, measure, tmp_path):
+        path = tmp_path / measure
+        shutil.copytree(PARENT_ARTIFACTS / measure, path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        with np.load(path / "arrays.npz") as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+        name = manifest["precomputed"][0]
+        arrays[name] = arrays[name].copy()
+        arrays[name].view(np.uint8).reshape(-1)[0] ^= 1
+        np.savez(path / "arrays.npz", **arrays)
+        with pytest.raises(ArtifactError, match=f"integrity.*{name}"):
+            ModelArtifact.load(path)
 
 
 class TestQueryEngine:
@@ -213,13 +292,17 @@ class TestQueryEngine:
         with_cascade = engine.search(dataset.test_X)
         without = engine.search(dataset.test_X, mode="brute")
         offline = offline_labels(art, dataset.test_X)
-        np.testing.assert_array_equal(with_cascade.labels, offline)
-        np.testing.assert_array_equal(without.labels, offline)
         np.testing.assert_array_equal(
-            with_cascade.neighbor_distances, without.neighbor_distances
+            art.train_y[with_cascade.indices[:, 0]], offline
         )
-        assert with_cascade.pruned > 0
-        assert without.pruned == 0
+        np.testing.assert_array_equal(
+            art.train_y[without.indices[:, 0]], offline
+        )
+        np.testing.assert_array_equal(
+            with_cascade.distances, without.distances
+        )
+        assert with_cascade.stats.pruned > 0
+        assert without.stats.pruned == 0
 
     def test_query_shape_validated(self, nccc_artifact):
         engine = QueryEngine(nccc_artifact)
@@ -233,7 +316,7 @@ class TestQueryEngine:
         assert first.cache_hits == 0
         second = engine.search(batch)
         assert second.cache_hits == 3
-        np.testing.assert_array_equal(first.labels, second.labels)
+        np.testing.assert_array_equal(first.indices, second.indices)
         np.testing.assert_array_equal(first.distances, second.distances)
         stats = engine.cache_stats()
         assert stats.hits == 3 and stats.misses == 3 and stats.size == 3
@@ -294,7 +377,7 @@ class TestConcurrency:
                 pool.map(lambda _: engine.search(batch), range(16))
             )
         for result in results[1:]:
-            np.testing.assert_array_equal(results[0].labels, result.labels)
+            np.testing.assert_array_equal(results[0].indices, result.indices)
             np.testing.assert_array_equal(
                 results[0].distances, result.distances
             )
@@ -440,7 +523,7 @@ class TestServerSearchAPI:
         assert len(body["neighbor_indices"]) == 3
         assert len(body["neighbor_indices"][0]) == 3
         expected = engine.search(dataset.test_X[:3], k=3)
-        assert body["neighbor_indices"] == expected.neighbor_indices.tolist()
+        assert body["neighbor_indices"] == expected.indices.tolist()
         assert body["pruned"] + body["full_computations"] > 0
 
     def test_explicit_schema_2_without_k(self, dataset, indexed_server):
