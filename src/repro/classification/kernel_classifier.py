@@ -44,10 +44,9 @@ def kernel_matrix(
     Built from the measure registry's batched kernels: SINK's similarity
     over each series' spectrum, ``exp(-d)`` of the normalized log-kernel
     distances of KDTW and GAK, and for RBF ``exp(-gamma * d)`` of the
-    squared ED the registered ``rbf`` matrix exponentiates (not
-    ``1 - rbf``, which rounds every similarity below 1e-16 to 0).
-    ``gamma=None`` takes the registry's default (the paper's
-    unsupervised pick).
+    squared ED (the registered ``rbf`` distance ``gamma * d`` is its
+    negative log too). ``gamma=None`` takes the registry's default (the
+    paper's unsupervised pick).
     """
     _check_kernel(kernel)
     Xa = as_dataset(X, "X")

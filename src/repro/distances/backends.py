@@ -1,9 +1,11 @@
 """Tiered per-measure backend registry for the DP hot-path kernels.
 
 The paper's elastic and kernel measures (DTW, MSM, TWE, ERP, GAK, KDTW)
-fill quadratic DP matrices per comparison; the pure-Python reference
-recurrences dominate every sweep and every elastic-routed serve. This
-module gives each such measure a second, *compiled* implementation tier
+fill quadratic DP matrices per comparison. On the reference tier the
+elastic pairwise matrices run on a pair-batched numpy DP
+(:func:`repro.distances.elastic._dp.pairwise_dp`) and everything else on
+pure-Python recurrences. This module gives each such measure a second,
+*compiled* implementation tier
 (numba ``@njit`` kernels from :mod:`repro.distances._compiled`) behind
 one registry, so every consumer — ``distance()``, ``pairwise_distances``,
 ``dissimilarity_matrix``, ``run_sweep`` and the serving ``QueryEngine`` —
@@ -258,9 +260,11 @@ def _warn_fallback(measure: str, reason: str) -> None:
     _FALLBACK_WARNED = True
     warnings.warn(
         f"backend='auto' fell back to the reference implementation for "
-        f"{measure!r}: {reason}. Elastic/kernel comparisons will be much "
-        "slower; install the compiled extra (pip install repro[compiled]) "
-        "or pass backend='reference' to silence this warning.",
+        f"{measure!r}: {reason}. Elastic pairwise matrices run on the "
+        "pair-batched numpy DP; single pairs and GAK/KDTW run a pure-Python "
+        "DP, which is much slower. Install the compiled extra (pip install "
+        "repro[compiled]) or pass backend='reference' to silence this "
+        "warning.",
         BackendFallbackWarning,
         stacklevel=3,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import DistanceMeasure, ParamSpec, register_measure
-from ._dp import INF, as_float_list, band_width
+from ._dp import INF, as_float_list, band_width, pairwise_dp
 
 
 def dtw(x: np.ndarray, y: np.ndarray, delta: float = 100.0) -> float:
@@ -97,6 +97,31 @@ def dtw_path(
     return float(acc[m, n]) ** 0.5, path
 
 
+def _dtw_setup(xs: np.ndarray, ys: np.ndarray):
+    row0 = np.full((ys.shape[0] + 1, 1), INF)
+    col0 = np.full((xs.shape[0] + 1, 1), INF)
+    row0[0] = col0[0] = 0.0
+    return row0, col0, (xs,), (ys,)
+
+
+def _dtw_cell(diag, up, left, xi, yj):
+    d = xi - yj
+    return d * d + np.minimum(np.minimum(diag, up), left)
+
+
+def _dtw_matrix(X: np.ndarray, Y: np.ndarray, delta: float = 100.0) -> np.ndarray:
+    """:func:`dtw` of every pair through :func:`pairwise_dp`, bitwise."""
+    w = band_width(X.shape[1], Y.shape[1], delta)
+    totals = pairwise_dp(X, Y, _dtw_setup, _dtw_cell, band=w, fill=INF)
+    # The root per pair, as dtw takes it (np.sqrt can differ in the last
+    # bit), in place and in blocks so the Python floats stay few.
+    flat = totals.reshape(-1)
+    for start in range(0, flat.size, 1 << 16):
+        block = flat[start : start + (1 << 16)]
+        block[:] = [total ** 0.5 for total in block.tolist()]
+    return totals
+
+
 DTW = register_measure(
     DistanceMeasure(
         name="dtw",
@@ -104,6 +129,7 @@ DTW = register_measure(
         category="elastic",
         family="elastic",
         func=dtw,
+        matrix_func=_dtw_matrix,
         params=(
             ParamSpec(
                 name="delta",

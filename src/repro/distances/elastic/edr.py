@@ -9,10 +9,12 @@ setting normalization is a constant factor and cannot change 1-NN ranks).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..base import DistanceMeasure, ParamSpec, register_measure
-from ._dp import as_float_list
+from ._dp import as_float_list, pairwise_dp
 
 _EPSILON_GRID = (
     0.001, 0.003, 0.005, 0.007, 0.009, 0.01, 0.03, 0.05,
@@ -46,6 +48,22 @@ def edr(x: np.ndarray, y: np.ndarray, epsilon: float = 0.1) -> float:
     return float(prev[n])
 
 
+def _edr_setup(xs: np.ndarray, ys: np.ndarray):
+    row0 = np.arange(ys.shape[0] + 1, dtype=np.float64)[:, None]
+    col0 = np.arange(xs.shape[0] + 1, dtype=np.float64)[:, None]
+    return row0, col0, (xs,), (ys,)
+
+
+def _edr_cell(diag, up, left, xi, yj, *, epsilon: float):
+    sub = diag + (np.abs(xi - yj) > epsilon)
+    return np.minimum(np.minimum(sub, up + 1), left + 1)
+
+
+def _edr_matrix(X: np.ndarray, Y: np.ndarray, epsilon: float = 0.1) -> np.ndarray:
+    """:func:`edr` of every pair through :func:`pairwise_dp`, bitwise."""
+    return pairwise_dp(X, Y, _edr_setup, partial(_edr_cell, epsilon=epsilon))
+
+
 EDR = register_measure(
     DistanceMeasure(
         name="edr",
@@ -53,6 +71,7 @@ EDR = register_measure(
         category="elastic",
         family="elastic",
         func=edr,
+        matrix_func=_edr_matrix,
         params=(
             ParamSpec(
                 name="epsilon",

@@ -9,10 +9,12 @@ supervised and unsupervised pairwise comparisons (Table 5).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..base import DistanceMeasure, register_measure
-from ._dp import as_float_list
+from ._dp import as_float_list, pairwise_dp
 
 
 def erp(x: np.ndarray, y: np.ndarray, g: float = 0.0) -> float:
@@ -46,6 +48,25 @@ def erp(x: np.ndarray, y: np.ndarray, g: float = 0.0) -> float:
     return float(prev[n])
 
 
+def _erp_setup(xs: np.ndarray, ys: np.ndarray, g: float):
+    gap_x, gap_y = np.abs(xs - g), np.abs(ys - g)
+    row0 = np.cumsum(np.vstack([np.zeros((1, ys.shape[1])), gap_y]), axis=0)
+    col0 = np.cumsum(np.vstack([np.zeros((1, xs.shape[1])), gap_x]), axis=0)
+    return row0, col0, (xs, gap_x), (ys, gap_y)
+
+
+def _erp_cell(diag, up, left, xi, gap_xi, yj, gap_yj):
+    match = diag + np.abs(xi - yj)
+    del_x = up + gap_xi
+    del_y = left + gap_yj
+    return np.minimum(np.minimum(match, del_x), del_y)
+
+
+def _erp_matrix(X: np.ndarray, Y: np.ndarray, g: float = 0.0) -> np.ndarray:
+    """:func:`erp` of every pair through :func:`pairwise_dp`, bitwise."""
+    return pairwise_dp(X, Y, partial(_erp_setup, g=g), _erp_cell)
+
+
 ERP = register_measure(
     DistanceMeasure(
         name="erp",
@@ -53,6 +74,7 @@ ERP = register_measure(
         category="elastic",
         family="elastic",
         func=erp,
+        matrix_func=_erp_matrix,
         complexity="O(m^2)",
         equal_length_only=False,
         description="Metric edit distance with real gap penalties (g = 0).",

@@ -14,10 +14,12 @@ that does not significantly beat NCC_c even under supervised tuning.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..base import DistanceMeasure, ParamSpec, register_measure
-from ._dp import as_float_list, band_width
+from ._dp import as_float_list, band_width, pairwise_dp
 
 _EPSILON_GRID = (
     0.001, 0.003, 0.005, 0.007, 0.009, 0.01, 0.03, 0.05,
@@ -53,6 +55,32 @@ def lcss(
     return 1.0 - prev[n] / float(min(m, n))
 
 
+def _lcss_setup(xs: np.ndarray, ys: np.ndarray):
+    row0 = np.zeros((ys.shape[0] + 1, 1))
+    col0 = np.zeros((xs.shape[0] + 1, 1))
+    return row0, col0, (xs,), (ys,)
+
+
+def _lcss_cell(diag, up, left, xi, yj, *, epsilon: float):
+    return np.where(np.abs(xi - yj) <= epsilon, diag + 1, np.maximum(up, left))
+
+
+def _lcss_matrix(
+    X: np.ndarray, Y: np.ndarray, epsilon: float = 0.2, delta: float = 5.0
+) -> np.ndarray:
+    """:func:`lcss` of every pair through :func:`pairwise_dp`, bitwise."""
+    m, n = X.shape[1], Y.shape[1]
+    lengths = pairwise_dp(
+        X,
+        Y,
+        _lcss_setup,
+        partial(_lcss_cell, epsilon=epsilon),
+        band=band_width(m, n, delta),
+        fill=0.0,
+    )
+    return 1.0 - lengths / float(min(m, n))
+
+
 LCSS = register_measure(
     DistanceMeasure(
         name="lcss",
@@ -60,6 +88,7 @@ LCSS = register_measure(
         category="elastic",
         family="elastic",
         func=lcss,
+        matrix_func=_lcss_matrix,
         params=(
             ParamSpec(
                 name="epsilon",

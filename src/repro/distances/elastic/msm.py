@@ -12,10 +12,12 @@ is ``c = 0.5``.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..base import DistanceMeasure, ParamSpec, register_measure
-from ._dp import as_float_list
+from ._dp import as_float_list, pairwise_dp
 
 
 def _split_merge_cost(new: float, left: float, right: float, c: float) -> float:
@@ -58,6 +60,39 @@ def msm(x: np.ndarray, y: np.ndarray, c: float = 0.5) -> float:
     return float(prev[n - 1])
 
 
+def _split_merge_costs(new, left, right, c: float) -> np.ndarray:
+    """:func:`_split_merge_cost` elementwise."""
+    between = ((left <= new) & (new <= right)) | ((right <= new) & (new <= left))
+    return np.where(
+        between, c, c + np.minimum(np.abs(new - left), np.abs(new - right))
+    )
+
+
+def _msm_setup(xs: np.ndarray, ys: np.ndarray, c: float):
+    # Grid cell (i, j) is msm's (x[i], y[j]): the corner and its
+    # split/merge chains are the boundary, interior rows start at x[1].
+    corner = np.abs(xs[0] - ys[0])[None]
+    row0 = np.cumsum(
+        np.vstack([corner, _split_merge_costs(ys[1:], ys[:-1], xs[0], c)]), axis=0
+    )
+    col0 = np.cumsum(
+        np.vstack([corner, _split_merge_costs(xs[1:], xs[:-1], ys[0], c)]), axis=0
+    )
+    return row0, col0, (xs[1:], xs[:-1]), (ys[1:], ys[:-1])
+
+
+def _msm_cell(diag, up, left, xi, xim1, yj, yjm1, *, c: float):
+    move = diag + np.abs(xi - yj)
+    split = up + _split_merge_costs(xi, xim1, yj, c)
+    merge = left + _split_merge_costs(yj, yjm1, xi, c)
+    return np.minimum(np.minimum(move, split), merge)
+
+
+def _msm_matrix(X: np.ndarray, Y: np.ndarray, c: float = 0.5) -> np.ndarray:
+    """:func:`msm` of every pair through :func:`pairwise_dp`, bitwise."""
+    return pairwise_dp(X, Y, partial(_msm_setup, c=c), partial(_msm_cell, c=c))
+
+
 MSM = register_measure(
     DistanceMeasure(
         name="msm",
@@ -65,6 +100,7 @@ MSM = register_measure(
         category="elastic",
         family="elastic",
         func=msm,
+        matrix_func=_msm_matrix,
         params=(
             ParamSpec(
                 name="c",

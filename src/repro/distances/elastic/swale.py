@@ -9,10 +9,12 @@ dissimilarity is the negated optimal score.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..base import DistanceMeasure, ParamSpec, register_measure
-from ._dp import as_float_list
+from ._dp import as_float_list, pairwise_dp
 
 _EPSILON_GRID = (
     0.01, 0.03, 0.05, 0.07, 0.09, 0.1,
@@ -62,6 +64,32 @@ def swale(
     return -swale_score(x, y, epsilon=epsilon, p=p, r=r)
 
 
+def _swale_setup(xs: np.ndarray, ys: np.ndarray, p: float):
+    row0 = -p * np.arange(ys.shape[0] + 1, dtype=np.float64)[:, None]
+    col0 = -p * np.arange(xs.shape[0] + 1, dtype=np.float64)[:, None]
+    return row0, col0, (xs,), (ys,)
+
+
+def _swale_cell(diag, up, left, xi, yj, *, epsilon: float, p: float, r: float):
+    return np.where(np.abs(xi - yj) <= epsilon, diag + r, np.maximum(up, left) - p)
+
+
+def _swale_matrix(
+    X: np.ndarray,
+    Y: np.ndarray,
+    epsilon: float = 0.2,
+    p: float = 5.0,
+    r: float = 1.0,
+) -> np.ndarray:
+    """:func:`swale` of every pair through :func:`pairwise_dp`, bitwise."""
+    return -pairwise_dp(
+        X,
+        Y,
+        partial(_swale_setup, p=p),
+        partial(_swale_cell, epsilon=epsilon, p=p, r=r),
+    )
+
+
 SWALE = register_measure(
     DistanceMeasure(
         name="swale",
@@ -69,6 +97,7 @@ SWALE = register_measure(
         category="elastic",
         family="elastic",
         func=swale,
+        matrix_func=_swale_matrix,
         params=(
             ParamSpec(
                 name="epsilon",

@@ -14,10 +14,12 @@ difference.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..base import DistanceMeasure, ParamSpec, register_measure
-from ._dp import INF, as_float_list
+from ._dp import INF, as_float_list, pairwise_dp
 
 
 def twe(
@@ -60,6 +62,37 @@ def twe(
     return float(prev[n])
 
 
+def _twe_setup(xs: np.ndarray, ys: np.ndarray):
+    def inputs(vs):
+        # vs[i - 1] and its predecessor (the zero pad before the first),
+        # their gap, and the grid index i for the stiffness term.
+        before = np.vstack([np.zeros((1, vs.shape[1])), vs[:-1]])
+        index = np.arange(1, vs.shape[0] + 1, dtype=np.float64)[:, None]
+        return vs, before, np.abs(vs - before), index
+
+    row0 = np.full((ys.shape[0] + 1, 1), INF)
+    col0 = np.full((xs.shape[0] + 1, 1), INF)
+    row0[0] = col0[0] = 0.0
+    return row0, col0, inputs(xs), inputs(ys)
+
+
+def _twe_cell(
+    diag, up, left, xi, xim1, dxi, i, yj, yjm1, dyj, j, *, lam: float, nu: float
+):
+    delete_cost = nu + lam
+    match = diag + np.abs(xi - yj) + np.abs(xim1 - yjm1) + 2.0 * nu * np.abs(i - j)
+    del_x = up + dxi + delete_cost
+    del_y = left + dyj + delete_cost
+    return np.minimum(np.minimum(match, del_x), del_y)
+
+
+def _twe_matrix(
+    X: np.ndarray, Y: np.ndarray, lam: float = 1.0, nu: float = 1e-4
+) -> np.ndarray:
+    """:func:`twe` of every pair through :func:`pairwise_dp`, bitwise."""
+    return pairwise_dp(X, Y, _twe_setup, partial(_twe_cell, lam=lam, nu=nu))
+
+
 TWE = register_measure(
     DistanceMeasure(
         name="twe",
@@ -67,6 +100,7 @@ TWE = register_measure(
         category="elastic",
         family="elastic",
         func=twe,
+        matrix_func=_twe_matrix,
         params=(
             ParamSpec(
                 name="lam",

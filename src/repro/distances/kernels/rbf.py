@@ -6,6 +6,13 @@ to ED for any fixed :math:`\gamma` — which is exactly why the paper finds
 its accuracy statistically *worse* than NCC_c (Table 6): it inherits ED's
 lock-step weaknesses. The grid in Table 4 sweeps :math:`\gamma = 2^{-15}
 \dots 2^{0}`.
+
+The registered dissimilarity is :math:`\gamma \|x - y\|^2 = -\log k(x, y)`,
+the negative log of the (already normalized) kernel, as for KDTW and GAK.
+``1 - k(x, y)`` would not do: it rounds to exactly 1.0 once
+:math:`\gamma \|x - y\|^2` passes about 37, so at the default
+:math:`\gamma = 2` on z-normalized series most pairs would tie and 1-NN
+would stop following ED.
 """
 
 from __future__ import annotations
@@ -24,8 +31,10 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float = 0.03125) -> float:
 
 
 def rbf(x: np.ndarray, y: np.ndarray, gamma: float = 0.03125) -> float:
-    """RBF dissimilarity ``1 - k(x, y)`` in ``[0, 1)``."""
-    return 1.0 - rbf_kernel(x, y, gamma)
+    r"""RBF dissimilarity :math:`\gamma \|x - y\|^2 = -\log k(x, y)` in
+    ``[0, inf)``: monotone in ED for every pair, so never saturated."""
+    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
+    return float(gamma * np.dot(diff, diff))
 
 
 def _rbf_matrix(X: np.ndarray, Y: np.ndarray, gamma: float = 0.03125) -> np.ndarray:
@@ -34,7 +43,7 @@ def _rbf_matrix(X: np.ndarray, Y: np.ndarray, gamma: float = 0.03125) -> np.ndar
         + np.sum(Y * Y, axis=1)[None, :]
         - 2.0 * (X @ Y.T)
     )
-    return 1.0 - np.exp(-gamma * np.maximum(sq, 0.0))
+    return gamma * np.maximum(sq, 0.0)
 
 
 RBF = register_measure(
@@ -55,6 +64,6 @@ RBF = register_measure(
             ),
         ),
         complexity="O(m)",
-        description="Gaussian kernel over ED (rank-equivalent to ED).",
+        description="Gaussian kernel over ED (-log k; rank-equivalent to ED).",
     )
 )

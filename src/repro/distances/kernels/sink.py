@@ -94,14 +94,11 @@ def _shift_reduce(
 ) -> np.ndarray:
     """The all-pairs block routine: ``reduce(cc, denom)`` collapses the
     shift axis of each block of shift-ordered cross-correlations ``cc``
-    ``(b, n_cols, 2m - 1)`` given the matching ``‖x‖‖y‖`` products."""
+    ``(block rows, block columns, 2m - 1)`` given the matching ``‖x‖‖y‖``
+    products."""
     out = np.empty((rows.fft.shape[0], cols.fft.shape[0]), dtype=np.float64)
-    for start, stop, cc in cc_blocks(
-        rows.fft, np.conj(cols.fft), rows.nfft, rows.length
-    ):
-        out[start:stop] = reduce(
-            cc, rows.norms[start:stop, None] * cols.norms[None, :]
-        )
+    for r, c, cc in cc_blocks(rows.fft, np.conj(cols.fft), rows.nfft, rows.length):
+        out[r, c] = reduce(cc, rows.norms[r, None] * cols.norms[None, c])
     return out
 
 

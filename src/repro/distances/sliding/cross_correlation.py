@@ -36,6 +36,14 @@ from scipy.fft import irfft, next_fast_len, rfft
 from ..._validation import EPS, as_pair
 from ..base import DistanceMeasure, register_measure
 
+#: Element budget of one cross-correlation block: a block's spectrum
+#: products and inverse transforms hold at most this many values each
+#: (``rows x columns x nfft``). Whole rows of columns fill a block first,
+#: so a serving batch of 4 queries against 500 length-128 references
+#: (4 x 500 x 256 values) is one block; against a large reference set a
+#: block splits the columns.
+CC_BUDGET = 1 << 19
+
 
 def cross_correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Full cross-correlation sequence of length ``m + n - 1`` via FFT.
@@ -180,29 +188,38 @@ def shift_order(cc: np.ndarray, m: int) -> np.ndarray:
 
 
 def cc_blocks(
-    fx: np.ndarray, fy_conj: np.ndarray, nfft: int, m: int, chunk: int = 32
-) -> Iterator[tuple[int, int, np.ndarray]]:
+    fx: np.ndarray, fy_conj: np.ndarray, nfft: int, m: int
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
     """Shift-ordered cross-correlation of every (row, column) spectrum pair.
 
     The batched core of every all-pairs sliding and SINK kernel: multiply
-    ``chunk``-row blocks of the row spectra ``fx`` (``rfft`` of length-``m``
-    series, ``nfft`` points) against all conjugated column spectra
+    blocks of the row spectra ``fx`` (``rfft`` of length-``m`` series,
+    ``nfft`` points) against blocks of the conjugated column spectra
     ``fy_conj``, inverse-transform each block in one batched ``irfft`` and
-    put it in shift order. Yields ``(start, stop, cc)`` with ``cc`` of shape
-    ``(stop - start, n_columns, 2m - 1)``; each pair's sequence carries the
-    arithmetic of :func:`cross_correlation` for that pair.
+    put it in shift order. Blocks span rows and columns under
+    :data:`CC_BUDGET`. Yields ``(rows, cols, cc)`` with two slices and
+    ``cc`` of shape ``(n_rows, n_cols, 2m - 1)`` for the block; each pair's
+    sequence carries the arithmetic of :func:`cross_correlation` for that
+    pair, whatever the blocking.
     """
-    for start in range(0, fx.shape[0], chunk):
-        stop = min(start + chunk, fx.shape[0])
-        cc = irfft(fx[start:stop, None, :] * fy_conj[None, :, :], nfft, axis=2)
-        yield start, stop, shift_order(cc, m)
+    n_rows, n_cols = fx.shape[0], fy_conj.shape[0]
+    per_row = n_cols * nfft
+    if per_row <= CC_BUDGET:
+        row_step, col_step = CC_BUDGET // per_row, n_cols
+    else:
+        row_step, col_step = 1, max(1, CC_BUDGET // nfft)
+    for r0 in range(0, n_rows, row_step):
+        rows = slice(r0, min(r0 + row_step, n_rows))
+        for c0 in range(0, n_cols, col_step):
+            cols = slice(c0, min(c0 + col_step, n_cols))
+            cc = irfft(fx[rows, None, :] * fy_conj[None, cols, :], nfft, axis=2)
+            yield rows, cols, shift_order(cc, m)
 
 
 def cc_max_from_reference(
     X: np.ndarray,
     reference: SlidingReference,
     divisor: str = "none",
-    chunk: int = 32,
 ) -> np.ndarray:
     """Max cross-correlation of every row of ``X`` against a reference.
 
@@ -220,20 +237,16 @@ def cc_max_from_reference(
     fx = rfft(X, reference.nfft, axis=1)
     counts = _shift_counts(m) if divisor == "unbiased" else None
     out = np.empty((X.shape[0], reference.fft_conj.shape[0]), dtype=np.float64)
-    for start, stop, cc in cc_blocks(
-        fx, reference.fft_conj, reference.nfft, m, chunk
-    ):
+    for rows, cols, cc in cc_blocks(fx, reference.fft_conj, reference.nfft, m):
         if counts is not None:
             cc = cc / counts
-        out[start:stop] = cc.max(axis=2)
+        out[rows, cols] = cc.max(axis=2)
     return out
 
 
-def _cc_matrix_max(
-    X: np.ndarray, Y: np.ndarray, divisor: str, chunk: int = 32
-) -> np.ndarray:
+def _cc_matrix_max(X: np.ndarray, Y: np.ndarray, divisor: str) -> np.ndarray:
     """Max cross-correlation for all pairs, batched over FFTs."""
-    return cc_max_from_reference(X, sliding_reference(Y), divisor, chunk)
+    return cc_max_from_reference(X, sliding_reference(Y), divisor)
 
 
 def ncc_c_matrix_from_reference(

@@ -47,10 +47,11 @@ def positive_pair():
 
 @pytest.fixture(scope="session")
 def adversarial_batches():
-    """Inputs on which the batched SINK/SBD/GRAIL paths must answer
-    exactly like the scalar functions: a zero row, constant rows,
+    """Inputs on which the batched SINK/SBD/GRAIL paths and the
+    pair-batched elastic DP must answer exactly like the scalar
+    functions: a zero row, constant rows,
     duplicate rows, a large offset with small noise, lengths 1 and 2, and
-    more rows than one 32-row block."""
+    a 40-row batch."""
     gen = np.random.default_rng(77)
     base = gen.normal(size=(40, 24))
     zero_row = base[:9].copy()

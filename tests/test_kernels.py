@@ -25,18 +25,23 @@ class TestRBF:
         x, _ = sine_pair
         assert rbf(x, x) == 0.0
 
-    def test_rank_equivalent_to_ed(self, rng):
-        """The Table 6 footnote in code: RBF inherits ED's 1-NN ranking."""
+    @pytest.mark.parametrize("gamma", [0.01, 2.0])
+    def test_rank_equivalent_to_ed(self, gamma):
+        """The Table 6 footnote in code: RBF inherits ED's 1-NN ranking,
+        also at the registry default gamma=2, where every pair of these
+        series has gamma * ||x - y||^2 far past the ~37 at which
+        1 - exp(-gamma * ||x - y||^2) rounds to 1.0."""
         from repro.classification import dissimilarity_matrix, one_nn_predict
 
-        train = rng.normal(size=(10, 20))
-        test = rng.normal(size=(5, 20))
+        gen = np.random.default_rng(12345)
+        train = gen.normal(size=(10, 64))
+        test = gen.normal(size=(5, 64))
         labels = np.arange(10)
         ed_pred = one_nn_predict(
             dissimilarity_matrix("euclidean", test, train), labels
         )
         rbf_pred = one_nn_predict(
-            dissimilarity_matrix("rbf", test, train, gamma=0.01), labels
+            dissimilarity_matrix("rbf", test, train, gamma=gamma), labels
         )
         assert np.array_equal(ed_pred, rbf_pred)
 

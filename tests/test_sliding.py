@@ -1,5 +1,8 @@
 """Unit tests for the sliding measures (paper Section 6)."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,66 @@ class TestSlidingMatrices:
         X = rng.normal(size=(6, 16))
         W = get_measure("nccc").pairwise(X)
         assert np.allclose(np.diag(W), 0.0, atol=1e-9)
+
+
+class TestBlockBudget:
+    """``cc_blocks`` splits rows and columns under one element budget;
+    every pair's sequence is still one row's inverse transform."""
+
+    # The subpackage re-exports a function under the module's name.
+    cc = importlib.import_module("repro.distances.sliding.cross_correlation")
+
+    def test_blocked_equals_one_block(self, adversarial_batches, monkeypatch):
+        X = adversarial_batches["more_rows_than_one_block"]
+        Q = X[:7] * 0.5 + 1.0
+        reference = self.cc.sliding_reference(X)
+        nfft = reference.nfft
+
+        def results():
+            return (
+                self.cc.cc_max_from_reference(Q, reference, "none"),
+                self.cc.cc_max_from_reference(Q, reference, "unbiased"),
+                self.cc.ncc_c_matrix_from_reference(Q, reference),
+                get_measure("sink").pairwise(X, Q),
+                get_measure("sink").pairwise(X),
+            )
+
+        assert 40 * 40 * nfft <= self.cc.CC_BUDGET  # one block each
+        whole = results()
+        # Whole rows per block, then part-rows: several row and column
+        # blocks, ragged at both ends.
+        for budget in (3 * 40 * nfft, 15 * nfft, nfft):
+            monkeypatch.setattr(self.cc, "CC_BUDGET", budget)
+            for got, want in zip(results(), whole):
+                np.testing.assert_array_equal(got, want, err_msg=str(budget))
+
+    def test_predict_batch_is_one_block(self):
+        """The serving shape (4 queries vs 500 references, m = 128)."""
+        reference = self.cc.sliding_reference(np.ones((500, 128)))
+        fx = np.ones((4, reference.fft_conj.shape[1]), dtype=complex)
+        blocks = list(
+            self.cc.cc_blocks(fx, reference.fft_conj, reference.nfft, 128)
+        )
+        assert len(blocks) == 1
+
+    def test_peak_memory_is_bounded(self):
+        """32 queries against 2e4 references (m = 128): one 32-row block
+        of all columns held 32 * 2e4 * 255 values per array, ≈2.5 GB of
+        peak. Blocks now hold at most CC_BUDGET values per array; the
+        product, its inverse transform and the shift-ordered copy are a
+        few such arrays, so the peak stays under six budgets' worth of
+        float64 values plus the output (≈29 MiB)."""
+        gen = np.random.default_rng(0)
+        Q = gen.normal(size=(32, 128))
+        reference = self.cc.sliding_reference(gen.normal(size=(20000, 128)))
+        tracemalloc.start()
+        try:
+            out = self.cc.ncc_c_matrix_from_reference(Q, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (32, 20000)
+        assert peak < 6 * self.cc.CC_BUDGET * 8 + out.nbytes
 
 
 class TestSlidingBeatsLockstepOnShiftedData(object):
