@@ -286,8 +286,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument(
         "--index", action="append", default=[], metavar="KIND[:K=V,...]",
         help="reference index to build into the artifact (repeatable), "
-        "e.g. 'dft_lb', 'paa_lb:segments=16' or 'grail_ann:dimensions=32'; "
-        "exact kinds serve mode=exact, ANN kinds serve mode=approx",
+        "e.g. 'paa_lb:segments=16' (DTW) or 'grail_ann:dimensions=32'; "
+        "exact kinds serve mode=exact, ANN kinds serve mode=approx "
+        "(Euclidean always answers exactly through ed_scan, which "
+        "'dft_lb', 'isax' and 'paa_lb' name under it)",
     )
 
     p_serve = sub.add_parser(

@@ -1,18 +1,22 @@
-"""Reference-set indexing: exact lower-bound filters + approximate ANN.
+"""Reference-set indexing: exact top-k kernels + approximate ANN.
 
-Public surface of the sub-linear query path. Exact kinds (``dft_lb``,
-``paa_lb``, ``isax``) return answers bitwise-identical to the exhaustive
-scan; approximate kinds (``grail_ann``, ``spiral_ann``) trade exactness
-for speed behind a measured recall@1 recorded in their spec. Indexes are
-built at fit time via ``ModelArtifact.fit(..., index=...)``, frozen into
-the artifact, and queried through ``QueryEngine.search(..., mode=...)``
-(or transiently through ``nearest_neighbors(..., index=...)``), both by
-way of :class:`repro.serving.engine.ReferenceSearch`.
+Public surface of the sub-linear query path. Exact kinds (``ed_scan``
+for Euclidean, ``paa_lb`` for banded DTW) return answers
+bitwise-identical to the exhaustive scan; approximate kinds
+(``grail_ann``, ``spiral_ann``) trade exactness for speed behind a
+measured recall@1 recorded in their spec. Indexes are built at fit time
+via ``ModelArtifact.fit(..., index=...)``, frozen into the artifact, and
+queried through ``QueryEngine.search(..., mode=...)`` (or transiently
+through ``nearest_neighbors(..., index=...)``), both by way of
+:class:`repro.serving.engine.ReferenceSearch`, which builds the exact
+kind itself when none was fitted. The retired Euclidean kinds
+(``dft_lb``, ``isax``, and ``paa_lb`` under ED) resolve to ``ed_scan``.
 
 Every kind shares one search loop, :meth:`ReferenceIndex.search` — the
 k check against the kind's own bound, the per-query loop, the result
 arrays and the :class:`IndexSearchStats` — and one ``prune=False``
-exhaustive scan; a kind supplies only its per-query step.
+exhaustive scan; a kind supplies only its per-query step, or, like
+``ed_scan``, answers whole batches.
 """
 
 from .ann import GRAILANNIndex, SPIRALANNIndex
@@ -26,23 +30,24 @@ from .base import (
     normalize_index_spec,
     normalize_index_specs,
     register_index,
+    resolve_kind,
     restore_index,
 )
-from .isax import ISAXTreeIndex
-from .lower_bound import DFTLowerBoundIndex, PAALowerBoundIndex
+from .lower_bound import PAALowerBoundIndex
+from .scan import EuclideanScan
 
 __all__ = [
     "IndexSearchStats",
     "ReferenceIndex",
-    "DFTLowerBoundIndex",
+    "EuclideanScan",
     "PAALowerBoundIndex",
-    "ISAXTreeIndex",
     "GRAILANNIndex",
     "SPIRALANNIndex",
     "build_index",
     "restore_index",
     "get_index_type",
     "register_index",
+    "resolve_kind",
     "list_index_kinds",
     "indexable_kinds",
     "normalize_index_spec",

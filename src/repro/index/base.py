@@ -11,17 +11,26 @@ implement and the registry the serving artifact resolves specs against.
 
 Two index classes exist:
 
-- **exact** indexes (``exact = True``) — a cheap per-candidate lower
-  bound plus an exact refine stage. Answers are bitwise-identical to an
-  exhaustive scan: a candidate is skipped only when its (safety-deflated)
-  lower bound strictly exceeds the current ``k``-th best distance, which
-  an admissible bound guarantees cannot discard a true neighbor;
+- **exact** indexes (``exact = True``) — a cheap screen plus an exact
+  refine stage. Answers are bitwise-identical to an exhaustive scan: a
+  candidate is skipped only when its screen proves it cannot enter the
+  top ``k``. Under ED that is ``ed_scan`` (:mod:`repro.index.scan`), a
+  cached-norm GEMM screen over the whole batch; under banded DTW it is
+  ``paa_lb``'s admissible lower bound, refined in ascending order until
+  the bound loses to the current ``k``-th best distance;
 - **approximate** indexes (``exact = False``) — embedding-space search
   with a true-distance re-rank, gated by a recall measurement at build
   time.
 
 Both are searched through one loop, :meth:`ReferenceIndex.search`; a
-kind supplies only its per-query step.
+kind supplies only its per-query step, or, like ``ed_scan``, answers
+whole batches by overriding ``search``.
+
+A representation earns its place by what it saves *net of its own
+cost*, not by pruning power alone (Wang et al.): the DFT, Euclidean PAA
+and iSAX filters pruned 87.5–99.9% of the candidates and still lost to
+``ed_scan`` at every measured size, so they were retired and their
+names resolve to it under ED (:func:`resolve_kind`).
 
 Every index serializes to ``(spec, arrays)``: the spec is a small
 JSON-able dict folded into the artifact fingerprint, and the arrays ride
@@ -47,10 +56,25 @@ from ..exceptions import IndexBuildError, ValidationError
 #: survives rounding, keeping pruning exact in float64 arithmetic.
 LB_SAFETY = 1e-9
 
-#: How many surviving candidates the exact refine stage computes per
-#: vectorized batch. Chunking keeps the numpy kernels hot while still
-#: re-checking the stop condition often enough to prune late candidates.
+#: How many candidates the ``prune=False`` scan refines per vectorized
+#: batch before offering them to the running top k.
 REFINE_CHUNK = 64
+
+#: Kind of the exact Euclidean top-k kernel (:mod:`repro.index.scan`).
+ED_SCAN = "ed_scan"
+
+#: Exact Euclidean kinds the kernel replaced. Under ED their names
+#: resolve to it when an artifact is fitted or loaded and in request
+#: pins, so saved artifacts and callers that name them keep working;
+#: ``paa_lb`` stays a real kind for banded DTW.
+RETIRED_ED_KINDS = frozenset({"dft_lb", "isax", "paa_lb"})
+
+
+def resolve_kind(kind: str, measure: str) -> str:
+    """The registered kind that answers index ``kind`` under ``measure``."""
+    if measure == "euclidean" and kind in RETIRED_ED_KINDS:
+        return ED_SCAN
+    return kind
 
 
 def euclidean_refine(X: np.ndarray, rows, q: np.ndarray) -> np.ndarray:
@@ -60,9 +84,10 @@ def euclidean_refine(X: np.ndarray, rows, q: np.ndarray) -> np.ndarray:
     (numpy's pairwise summation depends only on the row length), so the
     distance computed for a row is bit-identical whether it is refined
     alone, in a chunk, or in the full ``prune=False`` scan — unlike the
-    BLAS gemm trick, whose blocking changes with the batch shape. The
-    difference is squared in place: over all ``n`` rows (the filter
-    bounds) a second ``n``-row temporary per query costs page faults.
+    BLAS gemm trick, whose blocking changes with the batch shape. ``q``
+    is one query, or one query row per entry of ``rows``. The
+    difference is squared in place: over all ``n`` rows a second
+    ``n``-row temporary per query costs page faults.
     """
     diff = X[rows] - q
     diff *= diff
@@ -161,7 +186,7 @@ class ReferenceIndex(ABC):
     (:meth:`restore`) against the verified reference arrays.
     """
 
-    #: Registry name (``dft_lb``, ``paa_lb``, ``isax``, ``grail_ann``...).
+    #: Registry name (``ed_scan``, ``paa_lb``, ``grail_ann``...).
     kind: str = ""
     #: Whether answers are bitwise-identical to the exhaustive scan.
     exact: bool = True
@@ -240,12 +265,7 @@ class ReferenceIndex(ABC):
         either way.
         """
         Q = np.asarray(Q, dtype=np.float64)
-        bound = self.max_k
-        if not 1 <= k <= bound:
-            raise ValidationError(
-                f"k must be in [1, {bound}] for this {self.kind} index, "
-                f"got {k}"
-            )
+        self._check_k(k)
         step = self._nearest if prune or not self.exact else self._scan
         r = Q.shape[0]
         indices = np.empty((r, k), dtype=np.intp)
@@ -258,9 +278,21 @@ class ReferenceIndex(ABC):
         stats = IndexSearchStats(candidates=r * self.n, refined=refined_total)
         return indices, distances, stats
 
-    @abstractmethod
+    def _check_k(self, k: int) -> None:
+        """Reject a ``k`` outside ``[1, max_k]``."""
+        bound = self.max_k
+        if not 1 <= k <= bound:
+            raise ValidationError(
+                f"k must be in [1, {bound}] for this {self.kind} index, "
+                f"got {k}"
+            )
+
     def _nearest(self, q: np.ndarray, k: int) -> tuple[TopK, int]:
-        """This kind's search for one query: ``(top-k, pairs refined)``."""
+        """This kind's search for one query: ``(top-k, pairs refined)``.
+
+        Kinds that answer whole batches override :meth:`search` instead.
+        """
+        raise NotImplementedError
 
     def _scan(self, q: np.ndarray, k: int) -> tuple[TopK, int]:
         """The pruning-disabled scan: the refine arithmetic, every row.
@@ -331,11 +363,13 @@ def list_index_kinds() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def normalize_index_spec(spec: str | Mapping[str, object]) -> dict:
-    """Canonicalize one user-facing index spec to a plain dict.
+def normalize_index_spec(spec: str | Mapping[str, object], measure: str) -> dict:
+    """Canonicalize one user-facing index spec under ``measure``.
 
-    Accepts a bare kind name (``"dft_lb"``) or a mapping with a
-    ``kind`` key plus build parameters.
+    Accepts a bare kind name (``"ed_scan"``) or a mapping with a
+    ``kind`` key plus build parameters. A retired kind becomes the kind
+    that answers for it (:func:`resolve_kind`); its build parameters
+    configured the retired bound and are dropped.
     """
     if isinstance(spec, str):
         out: dict = {"kind": spec}
@@ -347,23 +381,25 @@ def normalize_index_spec(spec: str | Mapping[str, object]) -> dict:
         )
     if "kind" not in out:
         raise IndexBuildError(f"index spec {out!r} is missing its 'kind'")
-    get_index_type(str(out["kind"]))  # validate early
-    return out
+    kind = resolve_kind(str(out["kind"]), measure)
+    get_index_type(kind)  # validate early
+    return out if kind == out["kind"] else {"kind": kind}
 
 
 def normalize_index_specs(
-    index: str | Mapping[str, object] | Sequence | None,
+    index: str | Mapping[str, object] | Sequence | None, measure: str
 ) -> tuple[dict, ...]:
     """Canonicalize the ``index=`` argument of :meth:`ModelArtifact.fit`.
 
     ``None`` means no index; a single spec (name or mapping) means one;
     a sequence means several (e.g. one exact kind plus one approximate).
+    Kinds are resolved under ``measure`` before duplicates are refused.
     """
     if index is None:
         return ()
     if isinstance(index, (str, Mapping)):
-        return (normalize_index_spec(index),)
-    specs = tuple(normalize_index_spec(item) for item in index)
+        return (normalize_index_spec(index, measure),)
+    specs = tuple(normalize_index_spec(item, measure) for item in index)
     kinds = [s["kind"] for s in specs]
     if len(set(kinds)) != len(kinds):
         raise IndexBuildError(f"duplicate index kinds in spec: {kinds}")
@@ -378,7 +414,7 @@ def build_index(
     params: Mapping[str, float],
 ) -> ReferenceIndex:
     """Build one index over ``X`` from a user-facing spec."""
-    normalized = normalize_index_spec(spec)
+    normalized = normalize_index_spec(spec, measure)
     kind = str(normalized.pop("kind"))
     cls = get_index_type(kind)
     cls.check_supported(measure)
@@ -398,9 +434,12 @@ def restore_index(
     measure: str,
     params: Mapping[str, float],
 ) -> ReferenceIndex:
-    """Revive a frozen index from a manifest spec + verified arrays."""
-    kind = str(spec.get("kind", ""))
-    cls = get_index_type(kind)
+    """Revive a frozen index from a manifest spec + verified arrays.
+
+    A retired kind's spec revives the kind that answers for it, which
+    ignores the retired kind's stored arrays.
+    """
+    cls = get_index_type(resolve_kind(str(spec.get("kind", "")), measure))
     return cls.restore(spec, arrays, X, measure=measure, params=params)
 
 

@@ -12,8 +12,8 @@ between them from one declarative call::
     res = nearest_neighbors(queries, references, measure="dtw", k=3,
                             params={"delta": 10.0})
 
-    # sub-linear exact search through a transient lower-bound index
-    res = nearest_neighbors(queries, references, k=5, index="dft_lb")
+    # exact top-5 under ED, through the cached-norm ed_scan kernel
+    res = nearest_neighbors(queries, references, k=5)
 
     # top-2 subsequence matches of a pattern inside a long stream
     res = nearest_neighbors(pattern, stream, domain="subsequence", k=2)
@@ -126,7 +126,7 @@ def nearest_neighbors(
       :class:`~repro.serving.engine.ReferenceSearch` exactly as a
       :class:`~repro.serving.QueryEngine` without normalization would
       answer. Pass ``index=`` (a kind name or spec mapping, e.g.
-      ``"dft_lb"`` or ``{"kind": "paa_lb", "segments": 16}``) to search
+      ``{"kind": "paa_lb", "segments": 16}`` under DTW) to search
       through a transient :mod:`repro.index` structure — exact kinds
       return identical answers, approximate kinds answer in
       ``mode="approx"``.

@@ -24,11 +24,12 @@ Quickstart::
     from repro.serving import ModelArtifact, QueryEngine
 
     artifact = ModelArtifact.fit(train_X, train_y, measure="euclidean",
-                                 normalization="zscore", index="dft_lb")
+                                 normalization="zscore", index="grail_ann")
     artifact.save("artifact/")
     engine = QueryEngine(ModelArtifact.load("artifact/"))
     labels = engine.predict(queries)        # == offline one_nn_predict
-    top3 = engine.search(queries, k=3)      # sub-linear, still exact
+    top3 = engine.search(queries, k=3)      # exact: the ed_scan kernel
+    near = engine.search(queries, k=3, mode="approx")  # GRAIL ANN
 """
 
 from .artifact import ARTIFACT_SCHEMA, ModelArtifact

@@ -140,10 +140,12 @@ class ModelArtifact:
         the requested indexes.
 
         ``index`` optionally requests one or more reference indexes for
-        the sub-linear query path: a kind name (``"dft_lb"``), a mapping
-        with a ``kind`` key plus build parameters, or a sequence of
-        either (e.g. one exact filter plus one approximate embedding
-        index). Indexes are built over the *normalized* reference set and
+        the sub-linear query path: a kind name (``"ed_scan"``), a
+        mapping with a ``kind`` key plus build parameters, or a sequence
+        of either (e.g. one exact kind plus one approximate embedding
+        index). A retired Euclidean kind (``"dft_lb"``, ``"isax"``,
+        ``"paa_lb"`` under ED) builds ``ed_scan`` and is recorded as
+        such. Indexes are built over the *normalized* reference set and
         frozen into the artifact — their specs join the fingerprint, so
         an artifact with an index is a different logical model than the
         same data without one.
@@ -164,7 +166,7 @@ class ModelArtifact:
             X = norm.apply_dataset(X)
             norm_name = norm.name
         X = np.ascontiguousarray(X, dtype=np.float64)
-        requested = normalize_index_specs(index)
+        requested = normalize_index_specs(index, m.name)
         indexes = tuple(
             build_index(spec, X, measure=m.name, params=resolved)
             for spec in requested

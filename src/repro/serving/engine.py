@@ -15,17 +15,21 @@ fastest:
   via :func:`~repro.distances.sliding.cc_max_from_reference` — the
   identical arithmetic the registered matrix kernels run, minus the
   reference-side FFT on every batch;
+- **Euclidean** goes through the exact ``ed_scan`` kernel
+  (:mod:`repro.index.scan`): a cached-norm GEMM screen with a certified
+  rounding slack, then the row-wise distance for the survivors, so it
+  serves the row-wise ``sqrt(sum((x - q)^2))``, not ``pairwise``'s
+  expanded form (the two differ by ~1e-13);
 - **banded DTW** goes through an exact ``paa_lb`` index at full
   resolution (one frame per sample, where LB_PAA is exactly LB_Keogh)
   when no exact index was fitted: the UCR-suite LB_Keogh ->
   early-abandon cascade on the index layer's shared refine kernel.
 
-Fitted reference indexes add a sub-linear tier on top of those routes,
-chosen by ``mode``:
+Reference indexes are chosen by ``mode``:
 
-- ``mode="exact"`` — the exact lower-bound index (``dft_lb``,
-  ``paa_lb``, ``isax``) prunes candidates whose admissible bound already
-  loses to the running k-th best; answers are bitwise-identical to the
+- ``mode="exact"`` — the exact index (``ed_scan`` under ED, ``paa_lb``
+  under DTW; built here when none was fitted) skips candidates that
+  provably cannot enter the top k; answers are bitwise-identical to the
   exhaustive scan;
 - ``mode="approx"`` — the embedding ANN index (``grail_ann``,
   ``spiral_ann``) shortlists in embedding space and re-ranks with the
@@ -66,7 +70,13 @@ from ..distances.sliding.cross_correlation import (
     sliding_reference,
 )
 from ..exceptions import ServingError
-from ..index import IndexSearchStats, PAALowerBoundIndex, ReferenceIndex
+from ..index import (
+    EuclideanScan,
+    IndexSearchStats,
+    PAALowerBoundIndex,
+    ReferenceIndex,
+    resolve_kind,
+)
 from ..normalization import get_normalizer
 from ..observability import get_bus
 from ..search.facade import NeighborResult
@@ -98,8 +108,8 @@ class ReferenceSearch:
         Implementation-backend policy for the matrix route (``"auto"`` /
         ``"compiled"`` / ``"reference"``), resolved — and, for the
         compiled tier, JIT-warmed — here, so no search pays a
-        mid-flight compile. The sliding and DTW index routes run their
-        specialized reference arithmetic regardless.
+        mid-flight compile. The sliding and index routes (ED, DTW) run
+        their specialized reference arithmetic regardless.
     """
 
     def __init__(
@@ -130,6 +140,10 @@ class ReferenceSearch:
                         segments=X.shape[1],
                     ),
                 )
+        elif self.measure.name == "euclidean":
+            self.route = "index"
+            if not self._exact:
+                self._exact = (EuclideanScan(X, "euclidean", self.params),)
         else:
             self.route = "matrix"
         if self.route == "matrix":
@@ -149,8 +163,9 @@ class ReferenceSearch:
 
         ``mode`` and ``index`` choose the answering path as described in
         the module docstring; ``index`` pins a fitted index by kind name
-        (``"dft_lb"``, ``"grail_ann"``...), and by default the first
-        fitted index compatible with ``mode`` answers.
+        (``"ed_scan"``, ``"grail_ann"``...; a retired Euclidean kind
+        such as ``"dft_lb"`` names ``ed_scan``), and by default the
+        first fitted index compatible with ``mode`` answers.
         """
         Q = as_dataset(queries, "queries")
         k = int(k)
@@ -220,6 +235,7 @@ class ReferenceSearch:
         Returns ``(index_or_None, prune_flag)``.
         """
         if index is not None:
+            index = resolve_kind(index, self.measure.name)
             chosen = next(
                 (ix for ix in self._indexes if ix.kind == index), None
             )
@@ -237,8 +253,8 @@ class ReferenceSearch:
             if mode in ("exact", "brute") and not chosen.exact:
                 raise ServingError(
                     f"index {index!r} is approximate and cannot serve "
-                    f"mode={mode!r}; fit an exact index (dft_lb / paa_lb "
-                    "/ isax) or use mode='approx'"
+                    f"mode={mode!r}; fit an exact index (ed_scan / "
+                    "paa_lb) or use mode='approx'"
                 )
             return chosen, mode != "brute"
         if mode == "approx":

@@ -9,6 +9,7 @@ in both executors wherever the behaviour must match.
 import json
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,14 +50,28 @@ class FlakyCell:
 
 
 class AlwaysFail:
-    """Raise on every attempt of one cell."""
+    """Raise on every attempt of one cell.
 
-    def __init__(self, variant, dataset):
+    With ``after_checkpoint`` (a checkpoint directory) the cell first
+    waits, at most ``wait_seconds``, until the journal holds a completed
+    cell, so an interrupted run always leaves work to resume — even
+    when a worker process reaches the failing cell before any other
+    cell finishes.
+    """
+
+    def __init__(self, variant, dataset, after_checkpoint=None, wait_seconds=30.0):
         self.variant = variant
         self.dataset = dataset
+        self.after_checkpoint = after_checkpoint
+        self.wait_seconds = wait_seconds
 
     def __call__(self, variant, dataset, attempt):
         if variant == self.variant and dataset == self.dataset:
+            if self.after_checkpoint is not None:
+                cells = Path(self.after_checkpoint) / "cells"
+                deadline = time.monotonic() + self.wait_seconds
+                while not any(cells.glob("*.json")) and time.monotonic() < deadline:
+                    time.sleep(0.01)
             raise ValueError("injected permanent failure")
 
 
@@ -222,7 +237,9 @@ class TestCheckpointResume:
     def _interrupt_then_resume(self, variants, datasets, exec_kwargs, tmp_path):
         """Kill a checkpointed sweep partway, resume it, return both halves."""
         checkpoint = tmp_path / "ckpt"
-        broken = AlwaysFail("Lorentzian", datasets[2].name)
+        broken = AlwaysFail(
+            "Lorentzian", datasets[2].name, after_checkpoint=checkpoint
+        )
         with pytest.raises(CellFailure):
             run_sweep(
                 variants, datasets,

@@ -1,17 +1,23 @@
 """Tests for the sub-linear query path (repro.index + engine modes).
 
-The index layer is exactness-critical in two different ways:
+The index layer is exactness-critical in three different ways:
 
-- **admissibility** — every exact index's lower bound must never exceed
+- **admissibility** — ``paa_lb``'s DTW lower bound must never exceed
   the true distance, for *any* inputs, across the paper's Table-4
   parameter grid (checked property-style against brute-force oracles);
+- **the Euclidean kernel** — ``ed_scan`` must equal an independent
+  brute oracle (the row-wise distance to every reference, then
+  ``np.lexsort``) bitwise on adversarial inputs, with its certified
+  slack load-bearing and its screen blocked under a memory budget;
 - **parity** — ``mode="exact"`` answers must be bitwise-identical to
-  ``mode="brute"`` (same refine kernel, pruning toggled), and the
+  ``mode="brute"`` (same refine arithmetic, pruning toggled), and the
   approximate path must clear a measured recall@1 gate on a pinned
   clustered workload.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +33,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.index import (
-    DFTLowerBoundIndex,
-    ISAXTreeIndex,
+    EuclideanScan,
     PAALowerBoundIndex,
     build_index,
     indexable_kinds,
@@ -36,6 +41,7 @@ from repro.index import (
     normalize_index_specs,
     restore_index,
 )
+from repro.index import scan
 from repro.normalization import get_normalizer
 from repro.search import NeighborResult, nearest_neighbors
 from repro.serving import ModelArtifact, QueryEngine
@@ -79,28 +85,7 @@ def pair_sets(draw):
 
 
 class TestAdmissibility:
-    """LB(q, x) <= d(q, x) for every exact index, any real inputs."""
-
-    @given(pair_sets(), st.integers(min_value=1, max_value=16))
-    @settings(max_examples=40, deadline=None)
-    def test_dft_lower_bound_admissible(self, data, coefficients):
-        X, q = data
-        index = DFTLowerBoundIndex.build(
-            X, measure="euclidean", params={}, coefficients=coefficients
-        )
-        true = np.sqrt(((X - q) ** 2).sum(axis=1))
-        bounds = index.lower_bounds(q)
-        assert np.all(bounds <= true * (1 + 1e-9) + 1e-9)
-
-    @given(pair_sets(), st.integers(min_value=1, max_value=16))
-    @settings(max_examples=40, deadline=None)
-    def test_paa_euclidean_lower_bound_admissible(self, data, segments):
-        X, q = data
-        index = PAALowerBoundIndex.build(
-            X, measure="euclidean", params={}, segments=segments
-        )
-        true = np.sqrt(((X - q) ** 2).sum(axis=1))
-        assert np.all(index.lower_bounds(q) <= true * (1 + 1e-9) + 1e-9)
+    """LB(q, x) <= d(q, x) for ``paa_lb`` over DTW, any real inputs."""
 
     @given(
         pair_sets(),
@@ -117,21 +102,115 @@ class TestAdmissibility:
         true = np.array([dtw(q, x, delta) for x in X])
         assert np.all(bounds <= true * (1 + 1e-9) + 1e-9)
 
-    @given(pair_sets(), st.integers(min_value=2, max_value=8))
-    @settings(max_examples=30, deadline=None)
-    def test_isax_region_mindist_admissible(self, data, segments):
-        X, q = data
-        index = ISAXTreeIndex.build(
-            X, measure="euclidean", params={}, segments=segments, leaf_size=4
+
+def row_wise_oracle(X, Q, k):
+    """Independent brute top-k: the row-wise distance to every
+    reference, then stable ``(distance, index)`` order via lexsort."""
+    D = np.sqrt(((X[None, :, :] - Q[:, None, :]) ** 2).sum(axis=2))
+    index = np.arange(X.shape[0])
+    order = np.array([np.lexsort((index, row))[:k] for row in D])
+    return order, np.take_along_axis(D, order, axis=1)
+
+
+class TestEuclideanKernel:
+    """``ed_scan`` against the row-wise brute oracle, bitwise."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, adversarial_batches):
+        """``(references, queries)`` per input: the references' first
+        rows themselves (exact ties on duplicates) plus perturbed copies."""
+        rng = np.random.default_rng(19)
+        out = {}
+        for name, X in adversarial_batches.items():
+            Q = np.vstack(
+                [X[:3], X[:3] + 0.01 * rng.normal(size=(3, X.shape[1]))]
+            )
+            out[name] = (X, Q)
+        X, _, Q = clustered_dataset()
+        out["clustered"] = (X, np.vstack([X[:3], Q]))
+        return out
+
+    @pytest.mark.parametrize("k", ["1", "3", "n"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "more_rows_than_one_block", "zero_row", "constant_rows",
+            "duplicate_rows", "large_offset", "length_1", "length_2",
+            "clustered",
+        ],
+    )
+    def test_equals_row_wise_oracle(self, cases, name, k):
+        X, Q = cases[name]
+        k = X.shape[0] if k == "n" else int(k)
+        index = build_index("ed_scan", X, measure="euclidean", params={})
+        idx, dist, stats = index.search(Q, k)
+        want_idx, want_dist = row_wise_oracle(X, Q, k)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(dist, want_dist)
+        assert stats.candidates == Q.shape[0] * X.shape[0]
+        assert stats.refined >= k * Q.shape[0]
+
+    def test_slack_is_load_bearing(self, adversarial_batches, monkeypatch):
+        """Near-duplicates at a large offset: the GEMM screen's rounding
+        (~1e-2 here) dwarfs their spread (~1e-5), so without the slack
+        the screen keeps the wrong references."""
+        X = adversarial_batches["large_offset"]
+        Q = X + 1e-4
+        index = build_index("ed_scan", X, measure="euclidean", params={})
+        want = row_wise_oracle(X, Q, 3)
+        got = index.search(Q, 3)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[2].refined == Q.shape[0] * X.shape[0]  # all survive
+        monkeypatch.setattr(
+            scan, "screen_slack", lambda m, weight: np.zeros_like(weight)
         )
-        true = np.sqrt(((X - q) ** 2).sum(axis=1))
-        assert np.all(index.lower_bounds(q) <= true * (1 + 1e-9) + 1e-9)
+        unslacked = index.search(Q, 3)
+        assert not np.array_equal(unslacked[0], want[0])
+
+    def test_blocks_and_chunks_equal_one_block(self, monkeypatch):
+        X, _, Q = clustered_dataset()
+        Q = np.vstack([Q, X[::7]])
+        index = build_index("ed_scan", X, measure="euclidean", params={})
+        for k in (1, 5):
+            one_idx, one_dist, one_stats = index.search(Q, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(scan, "SCREEN_BUDGET", 3 * X.shape[0] - 1)
+                patch.setattr(scan, "REFINE_BUDGET", 1)
+                idx, dist, stats = index.search(Q, k)
+            np.testing.assert_array_equal(idx, one_idx)
+            np.testing.assert_array_equal(dist, one_dist)
+            assert stats == one_stats
+
+    def test_screen_memory_bounded_by_budget(self):
+        """256 queries x 2e4 references: one block would hold 5.12e6
+        screen values (plus ``np.partition``'s copy, 82 MB); the budget
+        keeps the peak at a block's screen and copy."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(20_000, 32))
+        Q = X[:256] + 0.01 * rng.normal(size=(256, 32))
+        index = EuclideanScan(X, "euclidean", {})
+        tracemalloc.start()
+        try:
+            index.search(Q, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * scan.SCREEN_BUDGET, peak
+
+    def test_norms_are_not_stored(self, workload):
+        X, _, Q = workload
+        index = build_index("ed_scan", X, measure="euclidean", params={})
+        assert index.spec() == {"kind": "ed_scan"} and index.arrays() == {}
+        revived = restore_index(
+            index.spec(), {}, X, measure="euclidean", params={}
+        )
+        np.testing.assert_array_equal(revived.search(Q, 3)[1], index.search(Q, 3)[1])
 
 
 class TestExactParity:
     """mode='exact' must equal the unpruned scan bitwise, while pruning."""
 
-    @pytest.mark.parametrize("kind", ["dft_lb", "paa_lb", "isax"])
+    @pytest.mark.parametrize("kind", ["ed_scan", "dft_lb", "paa_lb", "isax"])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_euclidean_bitwise_parity(self, workload, kind, k):
         X, _, Q = workload
@@ -142,6 +221,7 @@ class TestExactParity:
         np.testing.assert_array_equal(exact_dist, brute_dist)
         assert exact_idx.shape == (Q.shape[0], k)
         assert stats.candidates == Q.shape[0] * X.shape[0]
+        assert index.kind == "ed_scan"
 
     @pytest.mark.parametrize("delta", [5.0, 10.0])
     @pytest.mark.parametrize("k", [1, 3])
@@ -181,22 +261,36 @@ class TestExactParity:
 
 class TestRegistry:
     def test_kinds_registered(self):
-        kinds = list_index_kinds()
-        for kind in ("dft_lb", "paa_lb", "isax", "grail_ann", "spiral_ann"):
-            assert kind in kinds
+        assert list_index_kinds() == [
+            "ed_scan", "grail_ann", "paa_lb", "spiral_ann",
+        ]
 
     def test_indexable_kinds_exact_only(self):
-        assert "dft_lb" in indexable_kinds("euclidean")
-        assert "grail_ann" not in indexable_kinds("euclidean")
+        assert indexable_kinds("euclidean") == ["ed_scan"]
         assert list(indexable_kinds("dtw")) == ["paa_lb"]
+        assert indexable_kinds("msm") == []
 
     def test_spec_normalization(self):
-        assert normalize_index_specs(None) == ()
-        assert normalize_index_specs("dft_lb") == ({"kind": "dft_lb"},)
-        specs = normalize_index_specs([{"kind": "paa_lb", "segments": 4}])
+        assert normalize_index_specs(None, "dtw") == ()
+        assert normalize_index_specs("paa_lb", "dtw") == ({"kind": "paa_lb"},)
+        specs = normalize_index_specs([{"kind": "paa_lb", "segments": 4}], "dtw")
         assert specs[0]["segments"] == 4
         with pytest.raises(IndexBuildError):
-            normalize_index_specs(["dft_lb", "dft_lb"])  # duplicate kind
+            normalize_index_specs(["paa_lb", "paa_lb"], "dtw")  # duplicate kind
+
+    def test_retired_kinds_resolve_under_euclidean(self):
+        """The retired Euclidean kinds name the kernel (their build
+        parameters configured a bound that no longer exists); under DTW
+        ``paa_lb`` stays itself."""
+        for spec in ("dft_lb", "isax", {"kind": "paa_lb", "segments": 4}):
+            assert normalize_index_specs(spec, "euclidean") == (
+                {"kind": "ed_scan"},
+            )
+        assert normalize_index_specs(
+            {"kind": "paa_lb", "segments": 4}, "dtw"
+        ) == ({"kind": "paa_lb", "segments": 4},)
+        with pytest.raises(IndexBuildError, match="duplicate"):
+            normalize_index_specs(["dft_lb", "isax"], "euclidean")
 
     def test_unknown_kind_rejected(self, workload):
         X, _, _ = workload
@@ -207,6 +301,61 @@ class TestRegistry:
         X, _, _ = workload
         with pytest.raises(IndexBuildError):
             build_index("dft_lb", X, measure="dtw", params={"delta": 10.0})
+
+
+class TestRetiredKinds:
+    """Under ED, ``dft_lb``, ``isax`` and ``paa_lb`` name the kernel at
+    fit time, in the CLI and in the facade (request pins:
+    ``TestEngineModes`` and ``test_serving``)."""
+
+    @pytest.mark.parametrize("kind", ["dft_lb", "isax", "paa_lb"])
+    def test_artifact_fit_records_the_kernel(self, workload, kind):
+        X, y, Q = workload
+        art = ModelArtifact.fit(X, y, measure="euclidean", index=kind)
+        assert art.index_specs == ({"kind": "ed_scan"},)
+        plain = QueryEngine(ModelArtifact.fit(X, y, measure="euclidean"))
+        got = QueryEngine(art).search(Q, k=3)
+        want = plain.search(Q, k=3)
+        assert got.engine == want.engine == "index:ed_scan"
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.distances, want.distances)
+
+    @pytest.mark.parametrize("kind", ["dft_lb", "isax", "paa_lb"])
+    def test_facade_index_argument(self, workload, kind):
+        X, _, Q = workload
+        res = nearest_neighbors(Q, X, k=2, index=kind)
+        assert res.engine == "index:ed_scan"
+        np.testing.assert_array_equal(res.indices, row_wise_oracle(X, Q, 2)[0])
+
+    def test_cli_fit_index(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        out = tmp_path / "model"
+        assert main([
+            "fit", "euclidean", "--normalization", "zscore",
+            "--datasets", "1", "--scale", "0.3", "--out", str(out),
+            "--index", "dft_lb", "--index", "grail_ann",
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [spec["kind"] for spec in manifest["indexes"]] == [
+            "ed_scan", "grail_ann",
+        ]
+        assert main([
+            "fit", "euclidean", "--datasets", "1", "--scale", "0.3",
+            "--out", str(tmp_path / "paa"), "--index", "paa_lb:segments=16",
+        ]) == 0
+        manifest = json.loads((tmp_path / "paa" / "manifest.json").read_text())
+        assert manifest["indexes"] == [{"kind": "ed_scan"}]
+
+    def test_retired_names_stay_unknown_elsewhere(self, workload):
+        X, _, _ = workload
+        for kind in ("dft_lb", "isax"):
+            with pytest.raises(IndexBuildError, match="unknown"):
+                build_index(kind, X, measure="dtw", params={"delta": 10.0})
+        with pytest.raises(IndexBuildError, match="does not support"):
+            build_index("ed_scan", X, measure="dtw", params={"delta": 10.0})
 
 
 class TestApproximateRecall:
@@ -277,7 +426,10 @@ class TestSerialization:
 
     def test_tampered_index_array_refused(self, workload, tmp_path):
         X, y, _ = workload
-        art = ModelArtifact.fit(X, y, measure="euclidean", index="dft_lb")
+        art = ModelArtifact.fit(
+            X, y, measure="dtw", params={"delta": 10.0},
+            index={"kind": "paa_lb", "segments": 8},
+        )
         art.save(tmp_path / "art")
         path = tmp_path / "art" / "arrays.npz"
         with np.load(path) as z:
@@ -290,12 +442,16 @@ class TestSerialization:
 
     def test_standalone_index_restore(self, workload):
         X, _, Q = workload
-        index = build_index("isax", X, measure="euclidean", params={})
-        revived = restore_index(
-            index.spec(), index.arrays(), X, measure="euclidean", params={}
+        params = {"delta": 10.0}
+        index = build_index(
+            {"kind": "paa_lb", "segments": 8}, X[:60], measure="dtw",
+            params=params,
         )
-        a = index.search(Q, 2)
-        b = revived.search(Q, 2)
+        revived = restore_index(
+            index.spec(), index.arrays(), X[:60], measure="dtw", params=params
+        )
+        a = index.search(Q[:4], 2)
+        b = revived.search(Q[:4], 2)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -327,11 +483,15 @@ class TestEngineModes:
 
     def test_named_index_selection(self, workload, engine):
         _, _, Q = workload
-        named = engine.search(Q, k=2, index="dft_lb")
         default = engine.search(Q, k=2)
-        np.testing.assert_array_equal(named.indices, default.indices)
+        assert default.engine == "index:ed_scan"
+        for pin in ("ed_scan", "dft_lb", "isax", "paa_lb"):
+            named = engine.search(Q, k=2, index=pin)
+            assert named.engine == "index:ed_scan"
+            np.testing.assert_array_equal(named.indices, default.indices)
+            np.testing.assert_array_equal(named.distances, default.distances)
         with pytest.raises(ServingError, match="no fitted index"):
-            engine.search(Q, index="paa_lb")
+            engine.search(Q, index="spiral_ann", mode="approx")
 
     def test_mode_index_mismatch_rejected(self, workload, engine):
         _, _, Q = workload
@@ -369,10 +529,10 @@ class TestEngineModes:
         X, y, Q = workload
         art = ModelArtifact.fit(X, y, measure="euclidean")  # no index
         pred = QueryEngine(art).search(Q, k=4)
-        matrix_order = np.argsort(
-            ((Q[:, None, :] - X[None]) ** 2).sum(axis=2), axis=1, kind="stable"
-        )[:, :4]
-        np.testing.assert_array_equal(pred.indices, matrix_order)
+        assert pred.engine == "index:ed_scan"
+        want_idx, want_dist = row_wise_oracle(X, Q, 4)
+        np.testing.assert_array_equal(pred.indices, want_idx)
+        np.testing.assert_array_equal(pred.distances, want_dist)
 
 
 class TestFacade:
@@ -383,10 +543,8 @@ class TestFacade:
                                     index="paa_lb")
         assert isinstance(plain, NeighborResult)
         np.testing.assert_array_equal(plain.indices, indexed.indices)
-        np.testing.assert_allclose(
-            plain.distances, indexed.distances, rtol=1e-9
-        )
-        assert indexed.engine == "index:paa_lb"
+        np.testing.assert_array_equal(plain.distances, indexed.distances)
+        assert plain.engine == indexed.engine == "index:ed_scan"
 
     def test_dtw_cascade_route(self, workload):
         """DTW without index= runs the LB_Keogh -> early-abandon cascade
@@ -509,8 +667,8 @@ class TestDTWTieOracle:
 class TestOneCoreParity:
     """``nearest_neighbors(domain="whole")`` and ``QueryEngine.search``
     (no normalization) are one search: indices and distances bitwise
-    equal on every route, and equal to stable argsort over ``pairwise``
-    wherever no index answers."""
+    equal on every route, and equal to the row-wise oracle under ED and
+    to stable argsort over ``pairwise`` wherever no index answers."""
 
     DTW = {"delta": 10.0}
     CASES = [
@@ -576,7 +734,12 @@ class TestOneCoreParity:
         assert res.engine == served.engine
         np.testing.assert_array_equal(res.indices, served.indices)
         np.testing.assert_array_equal(res.distances, served.distances)
-        if index is None:
+        if index is None and measure == "euclidean":
+            # ED answers in the row-wise form, not pairwise's expanded one.
+            order, dist = row_wise_oracle(X, Q, k)
+            np.testing.assert_array_equal(res.indices, order)
+            np.testing.assert_array_equal(res.distances, dist)
+        elif index is None:
             E = get_measure(measure).pairwise(Q, X, **(params or {}))
             order = np.argsort(E, axis=1, kind="stable")[:, :k]
             np.testing.assert_array_equal(res.indices, order)

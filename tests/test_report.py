@@ -1,5 +1,7 @@
 """Tests for the benchmark report collator."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import ReproError
@@ -49,3 +51,12 @@ class TestCollate:
         write_report(results_dir)
         report = collate_results(results_dir)  # .md files are not *.txt
         assert report.count("## ") == 3
+
+
+def test_committed_report_matches_results():
+    """``benchmarks/results/REPORT.md`` is exactly what ``write_report``
+    collates from the committed results (regenerate it with
+    ``write_report("benchmarks/results")`` after changing a result)."""
+    results = Path(__file__).parent.parent / "benchmarks" / "results"
+    committed = (results / "REPORT.md").read_text()
+    assert committed == collate_results(results) + "\n"

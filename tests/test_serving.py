@@ -189,10 +189,16 @@ PARENT_ARTIFACTS = Path(__file__).parent / "data" / "parent_artifacts"
 
 
 class TestParentFormatArtifacts:
-    """Artifacts whose manifests list stored ``precomputed`` arrays (the
-    sliding FFTs and norms, the DTW envelopes) still load, verify and
-    answer. They were saved by the last commit that stored those arrays,
-    from the repository root, with::
+    """Artifacts saved by earlier formats still load, verify and answer:
+
+    - ``nccc`` and ``dtw`` list stored ``precomputed`` arrays (the
+      sliding FFTs and norms, the DTW envelopes), saved by the last
+      commit that stored those arrays;
+    - ``dft_lb`` and ``isax`` carry the arrays of the retired Euclidean
+      index kinds, saved by the last commit that had them; they load as
+      the ``ed_scan`` kernel.
+
+    Each was saved from the repository root with::
 
         PYTHONPATH=src python -c "
         import numpy as np
@@ -203,34 +209,55 @@ class TestParentFormatArtifacts:
             ).save('tests/data/parent_artifacts/nccc')
         ModelArtifact.fit(X, y, measure='dtw', normalization='zscore',
             params={'delta': 10.0}).save('tests/data/parent_artifacts/dtw')
+        for kind in ('dft_lb', 'isax'):
+            ModelArtifact.fit(X, y, measure='euclidean',
+                normalization='zscore', index=kind
+                ).save('tests/data/parent_artifacts/' + kind)
         "
     """
 
-    CASES = {"nccc": None, "dtw": {"delta": 10.0}}
+    #: fixture -> (measure, params, index)
+    CASES = {
+        "nccc": ("nccc", None, None),
+        "dtw": ("dtw", {"delta": 10.0}, None),
+        "dft_lb": ("euclidean", None, "dft_lb"),
+        "isax": ("euclidean", None, "isax"),
+    }
 
     @staticmethod
-    def fresh_fit(measure, params):
+    def fresh_fit(measure, params, index):
         rng = np.random.default_rng(1717)
         X = rng.normal(size=(6, 16))
         return ModelArtifact.fit(
             X, np.arange(6) % 2, measure=measure, normalization="zscore",
-            params=params,
+            params=params, index=index,
         )
 
-    @pytest.mark.parametrize("measure", sorted(CASES))
-    def test_loads_with_recorded_fingerprint(self, measure):
-        path = PARENT_ARTIFACTS / measure
+    @staticmethod
+    def stored_arrays(manifest):
+        """The fixture's arrays beyond the reference set."""
+        return manifest.get("precomputed") or manifest["index_arrays"]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_loads_with_recorded_fingerprint(self, name):
+        path = PARENT_ARTIFACTS / name
         manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["precomputed"], "fixture lost its stored arrays"
+        assert self.stored_arrays(manifest), "fixture lost its stored arrays"
         loaded = ModelArtifact.load(path)
         assert loaded.fingerprint == manifest["fingerprint"]
-        fresh = self.fresh_fit(measure, self.CASES[measure])
-        assert fresh.fingerprint == manifest["fingerprint"]
+        fresh = self.fresh_fit(*self.CASES[name])
+        if self.CASES[name][2] is None:
+            assert fresh.fingerprint == manifest["fingerprint"]
+        else:
+            # A retired kind now fits (and records) the kernel.
+            assert loaded.index_specs == tuple(manifest["indexes"])
+            assert fresh.index_specs == ({"kind": "ed_scan"},)
+            assert [ix.kind for ix in loaded.indexes] == ["ed_scan"]
 
-    @pytest.mark.parametrize("measure", sorted(CASES))
-    def test_answers_like_a_fresh_fit(self, measure):
-        loaded = QueryEngine(ModelArtifact.load(PARENT_ARTIFACTS / measure))
-        fresh = QueryEngine(self.fresh_fit(measure, self.CASES[measure]))
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_answers_like_a_fresh_fit(self, name):
+        loaded = QueryEngine(ModelArtifact.load(PARENT_ARTIFACTS / name))
+        fresh = QueryEngine(self.fresh_fit(*self.CASES[name]))
         queries = np.random.default_rng(3).normal(size=(5, 16))
         for k in (1, 3, 6):
             for mode in ("exact", "brute"):
@@ -246,7 +273,7 @@ class TestParentFormatArtifacts:
         manifest = json.loads((path / "manifest.json").read_text())
         with np.load(path / "arrays.npz") as bundle:
             arrays = {name: bundle[name] for name in bundle.files}
-        name = manifest["precomputed"][0]
+        name = self.stored_arrays(manifest)[0]
         arrays[name] = arrays[name].copy()
         arrays[name].view(np.uint8).reshape(-1)[0] ^= 1
         np.savez(path / "arrays.npz", **arrays)
@@ -276,7 +303,7 @@ class TestQueryEngine:
                 ModelArtifact.fit_dataset(dataset, measure=measure, **kw)
             ).route
 
-        assert route("euclidean") == "matrix"
+        assert route("euclidean") == "index"
         assert route("nccc") == "sliding"
         assert route("dtw", params={"delta": 10.0}) == "index"
         assert route("msm") == "matrix"
@@ -564,6 +591,24 @@ class TestServerSearchAPI:
             {"queries": dataset.test_X[:2].tolist(), "mode": "fastest"},
         )
         assert status == 400
+
+    def test_retired_index_pins_resolve_to_the_kernel(
+        self, dataset, indexed_server
+    ):
+        """The artifact was fitted with ``dft_lb``, which fits ``ed_scan``;
+        a pin on any retired Euclidean kind answers through it."""
+        server, engine = indexed_server
+        queries = dataset.test_X[:3].tolist()
+        expected = engine.search(dataset.test_X[:3], k=2)
+        assert expected.engine == "index:ed_scan"
+        for pin in ("ed_scan", "dft_lb", "isax", "paa_lb"):
+            status, body, _ = post_json(
+                server.url + "/predict",
+                {"queries": queries, "k": 2, "index": pin},
+            )
+            assert status == 200, body
+            assert body["neighbor_indices"] == expected.indices.tolist()
+            assert body["neighbor_distances"] == expected.distances.tolist()
 
     def test_index_counters_in_both_metrics_formats(
         self, dataset, indexed_server
