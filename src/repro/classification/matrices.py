@@ -2,18 +2,20 @@
 
 The evaluation sweeps (measure x normalization) combinations. Seven of the
 eight normalization methods transform each series independently, so the
-datasets are normalized once and the measure's (possibly vectorized)
-``pairwise`` runs unchanged. AdaptiveScaling is pairwise — the scaling
-factor depends on both series of every comparison — so it is applied
-inside a per-pair loop.
+datasets are normalized once (one row-wise call per dataset) and the
+measure's (possibly vectorized) ``pairwise`` runs unchanged.
+AdaptiveScaling is pairwise — the scaling factor depends on both series of
+every comparison — so each query row gets its factors against every
+reference row in one reduction, and the scaled references go through the
+measure's own batched ``pairwise`` in one call per query row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._validation import EPS, as_dataset
-from ..distances.backends import active_backend, resolve_backend
+from .._validation import as_dataset
+from ..distances.backends import active_backend
 from ..distances.base import DistanceMeasure, get_measure
 from ..normalization import Normalizer, get_normalizer
 from ..observability import get_bus
@@ -74,20 +76,19 @@ def _pairwise_normalized(
     backend: str | None = None,
     **params: float,
 ) -> np.ndarray:
-    """Per-pair normalization path (AdaptiveScaling)."""
+    """Pairwise-normalization path (AdaptiveScaling).
+
+    Row ``i`` is ``pairwise`` of ``X[i]`` against every row of ``Y``
+    scaled by its own factor, so each category reaches its batched
+    kernel and memory stays O(n_y * m) per row. ``W`` (``Y=None``) is
+    computed in full: the factor makes it asymmetric.
+    """
     Xa = as_dataset(X)
     Ya = Xa if Y is None else as_dataset(Y)
-    resolved = measure.resolve_params(params)
-    impl = resolve_backend(measure, backend)
     out = np.empty((Xa.shape[0], Ya.shape[0]), dtype=np.float64)
     for i in range(Xa.shape[0]):
-        xi = Xa[i]
-        for j in range(Ya.shape[0]):
-            a, b = norm.apply_pair(xi, Ya[j])
-            if measure.requires_nonnegative:
-                a = np.maximum(a, EPS)
-                b = np.maximum(b, EPS)
-            out[i, j] = impl.func(a, b, **resolved)
+        x, scaled = norm.pair_transform(Xa[i], Ya)
+        out[i] = measure.pairwise(x[None, :], scaled, backend=backend, **params)[0]
     return out
 
 

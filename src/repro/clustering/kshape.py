@@ -27,7 +27,7 @@ import numpy as np
 from .._validation import EPS, as_dataset
 from ..distances.sliding.cross_correlation import best_shift, ncc_c
 from ..exceptions import EvaluationError, ParameterError
-from ..normalization import zscore
+from ..normalization import ZSCORE, zscore
 
 
 def _align_to(reference: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -52,7 +52,7 @@ def shape_extract(members: np.ndarray, reference: np.ndarray) -> np.ndarray:
     members = as_dataset(members)
     m = members.shape[1]
     aligned = np.vstack([_align_to(reference, row) for row in members])
-    z = np.vstack([zscore(row) for row in aligned])
+    z = ZSCORE.apply_dataset(aligned)
     # Centering matrix Q = I - 1/m keeps the extract zero-mean.
     q = np.eye(m) - np.ones((m, m)) / m
     gram = q @ (z.T @ z) @ q
@@ -104,7 +104,7 @@ def kshape(
         raise EvaluationError(
             f"cannot form {n_clusters} clusters from {n} series"
         )
-    Z = np.vstack([zscore(row) for row in X])
+    Z = ZSCORE.apply_dataset(X)
     rng = np.random.default_rng(random_state)
     labels = rng.integers(0, n_clusters, size=n)
     # Guarantee non-empty initial clusters.

@@ -131,8 +131,8 @@ class _EmbeddingANNIndex(ReferenceIndex):
         hits = 0
         for i in picks:
             exact = self._exact_nn(int(i))
-            topk, _ = self._nearest(self._X[i], 1, exclude=int(i))
-            hits += int(topk.result()[0][0] == exact)
+            indices, _, _ = self._nearest(self._X[i], 1, exclude=int(i))
+            hits += int(indices[0] == exact)
         return hits / picks.shape[0]
 
     def _exact_nn(self, i: int) -> int:
@@ -148,7 +148,7 @@ class _EmbeddingANNIndex(ReferenceIndex):
     # ------------------------------------------------------------------
     def _nearest(
         self, q: np.ndarray, k: int, exclude: int | None = None
-    ) -> tuple[TopK, int]:
+    ) -> tuple[np.ndarray, np.ndarray, int]:
         """Embedding shortlist, re-ranked with the true measure.
 
         ``exclude`` drops one reference row (the recall self-queries).
@@ -165,7 +165,7 @@ class _EmbeddingANNIndex(ReferenceIndex):
         topk = TopK(k)
         for idx, d in zip(shortlist, true_d):
             topk.offer(float(d), int(idx))
-        return topk, shortlist.shape[0]
+        return (*topk.result(), shortlist.shape[0])
 
     @property
     def max_k(self) -> int:

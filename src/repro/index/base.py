@@ -56,9 +56,9 @@ from ..exceptions import IndexBuildError, ValidationError
 #: survives rounding, keeping pruning exact in float64 arithmetic.
 LB_SAFETY = 1e-9
 
-#: How many candidates the ``prune=False`` scan refines per vectorized
-#: batch before offering them to the running top k.
-REFINE_CHUNK = 64
+#: Difference values (rows x series length) one refine chunk holds, in
+#: ``ed_scan`` and in the ``prune=False`` scan.
+REFINE_BUDGET = 2**16
 
 #: Kind of the exact Euclidean top-k kernel (:mod:`repro.index.scan`).
 ED_SCAN = "ed_scan"
@@ -272,8 +272,7 @@ class ReferenceIndex(ABC):
         distances = np.empty((r, k), dtype=np.float64)
         refined_total = 0
         for qi in range(r):
-            topk, refined = step(Q[qi], k)
-            indices[qi], distances[qi] = topk.result()
+            indices[qi], distances[qi], refined = step(Q[qi], k)
             refined_total += refined
         stats = IndexSearchStats(candidates=r * self.n, refined=refined_total)
         return indices, distances, stats
@@ -287,32 +286,50 @@ class ReferenceIndex(ABC):
                 f"got {k}"
             )
 
-    def _nearest(self, q: np.ndarray, k: int) -> tuple[TopK, int]:
-        """This kind's search for one query: ``(top-k, pairs refined)``.
+    def _nearest(
+        self, q: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """This kind's search for one query: ``(indices, distances, pairs
+        refined)``, sorted by ``(distance, index)``.
 
         Kinds that answer whole batches override :meth:`search` instead.
         """
         raise NotImplementedError
 
-    def _scan(self, q: np.ndarray, k: int) -> tuple[TopK, int]:
+    def _scan(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
         """The pruning-disabled scan: the refine arithmetic, every row.
 
         Row-wise ED, or early-abandoning DTW with an infinite threshold
-        (which is the full DP).
+        (which is the full DP). ED refines :data:`REFINE_BUDGET` values at
+        a time and merges each chunk into the running top ``k`` by stable
+        ``(distance, index)`` order: the chunk's rows follow every held
+        one, so a stable sort on distance alone breaks ties by index.
         """
-        topk = TopK(k)
         if self.measure == "dtw":
             from ..search.cascade import dtw_early_abandon
 
+            topk = TopK(k)
             delta = float(self.params["delta"])
             for idx in range(self.n):
                 topk.offer(dtw_early_abandon(q, self._X[idx], delta, np.inf), idx)
-        else:
-            for pos in range(0, self.n, REFINE_CHUNK):
-                rows = np.arange(pos, min(pos + REFINE_CHUNK, self.n))
-                for idx, d in zip(rows, euclidean_refine(self._X, rows, q)):
-                    topk.offer(float(d), int(idx))
-        return topk, self.n
+            return (*topk.result(), self.n)
+        best_i = np.empty(0, dtype=np.intp)
+        best_d = np.empty(0, dtype=np.float64)
+        chunk = max(1, REFINE_BUDGET // self.series_length)
+        for pos in range(0, self.n, chunk):
+            d = euclidean_refine(self._X, slice(pos, pos + chunk), q)
+            rows = np.arange(pos, pos + d.shape[0])
+            if best_d.shape[0] == k:
+                # An equal distance loses to the held, lower index.
+                wins = d < best_d[-1]
+                if not wins.any():
+                    continue
+                rows, d = rows[wins], d[wins]
+            rows = np.concatenate((best_i, rows))
+            d = np.concatenate((best_d, d))
+            keep = np.argsort(d, kind="stable")[:k]
+            best_i, best_d = rows[keep], d[keep]
+        return best_i, best_d, self.n
 
     @property
     def max_k(self) -> int:

@@ -180,10 +180,15 @@ class PAALowerBoundIndex(ReferenceIndex):
                 topk.offer(d, int(idx))
         return topk, refined
 
-    def _nearest(self, q: np.ndarray, k: int) -> tuple[TopK, int]:
+    def _nearest(
+        self, q: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
         """Refine in ascending lower-bound order until the bound loses."""
         bounds = self.lower_bounds(q)
-        return self._refine_dtw(q, np.argsort(bounds, kind="stable"), bounds, k)
+        topk, refined = self._refine_dtw(
+            q, np.argsort(bounds, kind="stable"), bounds, k
+        )
+        return (*topk.result(), refined)
 
     def spec(self) -> dict:
         """Fingerprinted configuration."""

@@ -67,6 +67,7 @@ import numpy as np
 
 from .base import (
     ED_SCAN,
+    REFINE_BUDGET,
     IndexSearchStats,
     ReferenceIndex,
     euclidean_refine,
@@ -78,9 +79,6 @@ from .base import (
 #: over the references); a large request over the same references is
 #: screened 20 queries at a time.
 SCREEN_BUDGET = 2**21
-
-#: Difference values (survivors x series length) one refine chunk holds.
-REFINE_BUDGET = 2**16
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 

@@ -18,7 +18,11 @@ import numpy as np
 from .._validation import as_dataset, as_series
 from ..exceptions import UnknownNormalizationError
 
+#: Row-wise along the last axis: maps an ``(..., m)`` array to one of the
+#: same shape, each row normalized on its own.
 SeriesTransform = Callable[[np.ndarray], np.ndarray]
+#: Maps ``(x, Y)`` to ``(x', Y')``: series ``x`` against every row of
+#: ``Y`` along the last axis (one series or a whole dataset).
 PairTransform = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -33,11 +37,15 @@ class Normalizer:
     label:
         Human-readable label used in reports (e.g. ``"z-score"``).
     transform:
-        Function applied to a single 1-D series. ``None`` for purely
-        pairwise methods.
+        Row-wise function along the last axis of an ``(..., m)`` array:
+        it normalizes one series, or every row of a dataset in one call,
+        each row independently and bitwise as if alone. Inputs are
+        validated by the caller. ``None`` for purely pairwise methods.
     pair_transform:
-        For pairwise methods (AdaptiveScaling): maps ``(x, y)`` to the pair
-        actually compared. For per-series methods this applies
+        For pairwise methods (AdaptiveScaling): maps ``(x, Y)`` to what is
+        actually compared, ``x`` against every row of ``Y`` along the
+        last axis (``Y`` one series or a dataset). ``None`` for
+        per-series methods, whose :meth:`apply_pair` applies
         :attr:`transform` to both sides.
     description:
         One-line summary shown by :func:`describe_normalizations`.
@@ -69,7 +77,8 @@ class Normalizer:
         return self(x), self(y)
 
     def apply_dataset(self, X: np.ndarray) -> np.ndarray:
-        """Normalize every row of an ``(n, m)`` dataset independently.
+        """Normalize every row of an ``(n, m)`` dataset independently,
+        in one call of :attr:`transform`.
 
         Pairwise methods return the dataset unchanged (they act at
         comparison time instead).
@@ -77,7 +86,7 @@ class Normalizer:
         X = as_dataset(X)
         if self.transform is None:
             return X
-        return np.vstack([self.transform(row) for row in X])
+        return self.transform(X)
 
 
 _REGISTRY: dict[str, Normalizer] = {}

@@ -8,6 +8,15 @@ implements a deterministic fallback instead of emitting NaN.
 All methods are pure functions of the input series except
 :data:`ADAPTIVE_SCALING`, which is pairwise: it rescales the second series of
 every comparison by the least-squares optimal factor (paper Eq. 7).
+
+Each method has one row-wise core that works along the last axis of an
+``(..., m)`` array, applying its constant-series fallback per row through
+masks; the registered :class:`~repro.normalization.base.Normalizer` holds
+the core, so a whole dataset is one call, and the public 1-D function
+validates its input and calls the same core. A row's output is therefore
+bitwise the same whether it is normalized alone or in a batch. The two
+dot products (UnitLength's norm and the AdaptiveScaling factor) are one
+last-axis reduction each for the same reason.
 """
 
 from __future__ import annotations
@@ -15,17 +24,33 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import EPS, as_series
+from ..exceptions import ValidationError
 from .base import Normalizer, register_normalizer
+
+
+def _guarded_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, and 0 wherever ``den < EPS`` (a constant or zero
+    row), without ever dividing by such a denominator."""
+    out = np.zeros(np.broadcast_shapes(np.shape(num), np.shape(den)))
+    return np.divide(num, den, out=out, where=~(den < EPS))
+
+
+def _zscore(X: np.ndarray) -> np.ndarray:
+    return _guarded_divide(
+        X - X.mean(axis=-1, keepdims=True), X.std(axis=-1, keepdims=True)
+    )
 
 
 def zscore(x: np.ndarray) -> np.ndarray:
     """Eq. (1): zero mean, unit variance. Constant series map to zeros."""
-    x = as_series(x)
-    centered = x - x.mean()
-    std = x.std()
-    if std < EPS:
-        return np.zeros_like(x)
-    return centered / std
+    return _zscore(as_series(x))
+
+
+def _minmax(X: np.ndarray, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+    lo = X.min(axis=-1, keepdims=True)
+    span = X.max(axis=-1, keepdims=True) - lo
+    scaled = _guarded_divide(X - lo, span)
+    return np.where(span < EPS, (low + high) / 2.0, low + scaled * (high - low))
 
 
 def minmax(x: np.ndarray, low: float = 0.0, high: float = 1.0) -> np.ndarray:
@@ -33,21 +58,25 @@ def minmax(x: np.ndarray, low: float = 0.0, high: float = 1.0) -> np.ndarray:
 
     Constant series map to the midpoint of the target range.
     """
-    x = as_series(x)
-    span = x.max() - x.min()
-    if span < EPS:
-        return np.full_like(x, (low + high) / 2.0)
-    scaled = (x - x.min()) / span
-    return low + scaled * (high - low)
+    return _minmax(as_series(x), low, high)
+
+
+def _mean_norm(X: np.ndarray) -> np.ndarray:
+    span = X.max(axis=-1, keepdims=True) - X.min(axis=-1, keepdims=True)
+    return _guarded_divide(X - X.mean(axis=-1, keepdims=True), span)
 
 
 def mean_norm(x: np.ndarray) -> np.ndarray:
     """Eq. (4): z-score numerator over MinMax denominator."""
-    x = as_series(x)
-    span = x.max() - x.min()
-    if span < EPS:
-        return np.zeros_like(x)
-    return (x - x.mean()) / span
+    return _mean_norm(as_series(x))
+
+
+def _median_norm(X: np.ndarray) -> np.ndarray:
+    med = np.median(X, axis=-1, keepdims=True)
+    mean = X.mean(axis=-1, keepdims=True)
+    # Dividing by 1.0 returns a degenerate row unchanged, bit for bit.
+    fallback = np.where(np.abs(mean) >= EPS, mean, 1.0)
+    return X / np.where(np.abs(med) >= EPS, med, fallback)
 
 
 def median_norm(x: np.ndarray) -> np.ndarray:
@@ -58,23 +87,35 @@ def median_norm(x: np.ndarray) -> np.ndarray:
     by the mean, and if that is also degenerate we return the series
     unchanged — the least surprising of the bad options.
     """
-    x = as_series(x)
-    med = np.median(x)
-    if abs(med) >= EPS:
-        return x / med
-    mean = x.mean()
-    if abs(mean) >= EPS:
-        return x / mean
-    return x.copy()
+    return _median_norm(as_series(x))
+
+
+def _sum_of_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x · y`` along the last axis, one pairwise-summed reduction per
+    row: a row's value is the same whether it is reduced alone or in a
+    batch, which BLAS dot (``np.dot``, ``np.linalg.norm``) does not
+    promise."""
+    return (x * y).sum(axis=-1)
+
+
+def _unit_length(X: np.ndarray) -> np.ndarray:
+    return _guarded_divide(X, np.sqrt(_sum_of_products(X, X))[..., None])
 
 
 def unit_length(x: np.ndarray) -> np.ndarray:
     """Eq. (6): scale so the Euclidean norm of the series is one."""
-    x = as_series(x)
-    norm = np.linalg.norm(x)
-    if norm < EPS:
-        return np.zeros_like(x)
-    return x / norm
+    return _unit_length(as_series(x))
+
+
+def _adaptive_factors(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Eq. (7) factor of ``x`` against each row of ``Y`` (last axis)."""
+    if x.shape[-1] != Y.shape[-1]:
+        raise ValidationError(
+            "AdaptiveScaling scales y point by point onto x, so both need "
+            f"equal length, got {x.shape[-1]} and {Y.shape[-1]}; resample "
+            "first (repro.datasets.preprocessing)"
+        )
+    return _guarded_divide(_sum_of_products(x, Y), _sum_of_products(Y, Y))
 
 
 def adaptive_scaling_factor(x: np.ndarray, y: np.ndarray) -> float:
@@ -85,31 +126,29 @@ def adaptive_scaling_factor(x: np.ndarray, y: np.ndarray) -> float:
     ``x_i . x_i`` but applies the factor as ``ED(x_i, a * x_j)``, for which
     the least-squares denominator is the scaled series' self-product. Both
     conventions coincide for unit-length inputs; we keep the optimal one and
-    note the deviation here.
+    note the deviation here. A zero ``y`` gets the factor 0.
     """
-    x = as_series(x, "x")
-    y = as_series(y, "y")
-    denom = float(np.dot(y, y))
-    if denom < EPS:
-        return 0.0
-    return float(np.dot(x, y)) / denom
+    return float(_adaptive_factors(as_series(x, "x"), as_series(y, "y")))
 
 
-def _adaptive_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = adaptive_scaling_factor(x, y)
-    return x, a * y
+def _adaptive_pair(x: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and every row of ``Y`` scaled by its own Eq. (7) factor."""
+    return x, _adaptive_factors(x, Y)[..., None] * Y
+
+
+def _logistic(X: np.ndarray) -> np.ndarray:
+    # Split by sign for numerical stability on large magnitudes.
+    out = np.empty_like(X)
+    pos = X >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-X[pos]))
+    expx = np.exp(X[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    return out
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
     """Eq. (8): logistic (sigmoid) activation of each value."""
-    x = as_series(x)
-    # Split by sign for numerical stability on large magnitudes.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expx = np.exp(x[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    return out
+    return _logistic(as_series(x))
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -121,7 +160,7 @@ ZSCORE = register_normalizer(
     Normalizer(
         name="zscore",
         label="z-score",
-        transform=zscore,
+        transform=_zscore,
         description="Zero mean, unit variance (the literature's default).",
         aliases=("z", "z-score", "znorm", "standard"),
     )
@@ -131,7 +170,7 @@ MINMAX = register_normalizer(
     Normalizer(
         name="minmax",
         label="MinMax",
-        transform=minmax,
+        transform=_minmax,
         description="Scale values into [0, 1].",
         aliases=("min-max", "range"),
     )
@@ -141,7 +180,7 @@ MEAN_NORM = register_normalizer(
     Normalizer(
         name="meannorm",
         label="MeanNorm",
-        transform=mean_norm,
+        transform=_mean_norm,
         description="Center by mean, scale by range (z-score x MinMax mix).",
         aliases=("mean",),
     )
@@ -151,7 +190,7 @@ MEDIAN_NORM = register_normalizer(
     Normalizer(
         name="mediannorm",
         label="MedianNorm",
-        transform=median_norm,
+        transform=_median_norm,
         description="Divide by the median (mean fallback when degenerate).",
         aliases=("median",),
     )
@@ -161,7 +200,7 @@ UNIT_LENGTH = register_normalizer(
     Normalizer(
         name="unitlength",
         label="UnitLength",
-        transform=unit_length,
+        transform=_unit_length,
         description="Scale the series to unit Euclidean norm.",
         aliases=("unit", "l2norm"),
     )
@@ -182,7 +221,7 @@ LOGISTIC = register_normalizer(
     Normalizer(
         name="logistic",
         label="Logistic",
-        transform=logistic,
+        transform=_logistic,
         description="Sigmoid activation of each value.",
         aliases=("sigmoid",),
     )
@@ -192,7 +231,7 @@ TANH = register_normalizer(
     Normalizer(
         name="tanh",
         label="Tanh",
-        transform=tanh,
+        transform=np.tanh,
         description="Hyperbolic tangent activation of each value.",
         aliases=("hyperbolictangent",),
     )
@@ -210,8 +249,8 @@ def make_minmax_range(low: float, high: float) -> Normalizer:
     if not high > low:
         raise ValueError(f"need high > low, got [{low}, {high}]")
 
-    def transform(x: np.ndarray) -> np.ndarray:
-        return minmax(x, low=low, high=high)
+    def transform(X: np.ndarray) -> np.ndarray:
+        return _minmax(X, low, high)
 
     return Normalizer(
         name=f"minmax[{low:g},{high:g}]",

@@ -11,7 +11,7 @@ from repro.classification import (
     one_nn_predict,
     tune_parameters,
 )
-from repro.exceptions import EvaluationError
+from repro.exceptions import EvaluationError, ValidationError
 
 
 class TestOneNN:
@@ -101,6 +101,19 @@ class TestDissimilarityMatrix:
                 expected = float(np.linalg.norm(test_X[i] - a * train_X[j]))
                 assert E[i, j] == pytest.approx(expected)
 
+    def test_adaptive_unequal_lengths_name_both(self):
+        """Elastic measures take unequal lengths; AdaptiveScaling's
+        point-by-point factor does not, on either entry path."""
+        import repro
+
+        gen = np.random.default_rng(8)
+        X20, Y25 = gen.normal(size=(3, 20)), gen.normal(size=(4, 25))
+        assert dissimilarity_matrix("dtw", X20, Y25).shape == (3, 4)
+        with pytest.raises(ValidationError, match="20 and 25"):
+            dissimilarity_matrix("dtw", X20, Y25, "adaptive")
+        with pytest.raises(ValidationError, match="20 and 25"):
+            repro.distance(X20[0], Y25[0], "dtw", normalization="adaptive")
+
     def test_evaluation_matrices_shapes(self, small_dataset):
         W, E = evaluation_matrices("lorentzian", small_dataset)
         assert W.shape == (small_dataset.n_train,) * 2
@@ -111,6 +124,109 @@ class TestDissimilarityMatrix:
             "lorentzian", small_dataset, need_train_matrix=False
         )
         assert W is None and E is not None
+
+
+@pytest.fixture(scope="module")
+def adaptive_data():
+    """Queries and references with a zero-norm reference row (factor 0)."""
+    gen = np.random.default_rng(21)
+    X = gen.normal(size=(4, 16))
+    Y = gen.normal(size=(5, 16)) * gen.uniform(0.5, 3.0, size=(5, 1))
+    Y[2] = 0.0
+    return X, Y
+
+
+def _adaptive_oracle(measure, X, Y):
+    """Each entry through the measure's own ``pairwise`` on one pair."""
+    from repro.distances import get_measure
+    from repro.normalization import adaptive_scaling_factor
+
+    m = get_measure(measure)
+    return np.array(
+        [
+            [
+                m.pairwise(x[None], (adaptive_scaling_factor(x, y) * y)[None])[0, 0]
+                for y in Y
+            ]
+            for x in X
+        ]
+    )
+
+
+class TestAdaptiveScalingMatrices:
+    """AdaptiveScaling runs through each measure's batched kernel: every
+    entry of E and of the full (asymmetric) W equals the measure's
+    ``pairwise`` on that one scaled pair."""
+
+    @pytest.mark.parametrize(
+        "measure", ["lorentzian", "manhattan", "jaccard", "nccc", "dtw", "msm"]
+    )
+    def test_bitwise_per_entry(self, measure, adaptive_data):
+        X, Y = adaptive_data
+        E = dissimilarity_matrix(measure, X, Y, "adaptive")
+        W = dissimilarity_matrix(measure, Y, None, "adaptive")
+        assert E.tobytes() == _adaptive_oracle(measure, X, Y).tobytes()
+        assert W.tobytes() == _adaptive_oracle(measure, Y, Y).tobytes()
+
+    def test_euclidean_expanded_form_is_close(self, adaptive_data):
+        X, Y = adaptive_data
+        E = dissimilarity_matrix("euclidean", X, Y, "adaptive")
+        W = dissimilarity_matrix("euclidean", Y, None, "adaptive")
+        assert np.allclose(E, _adaptive_oracle("euclidean", X, Y), rtol=1e-12, atol=1e-6)
+        assert np.allclose(W, _adaptive_oracle("euclidean", Y, Y), rtol=1e-12, atol=1e-6)
+
+    def test_w_is_asymmetric(self, adaptive_data):
+        _, Y = adaptive_data
+        W = dissimilarity_matrix("lorentzian", Y, None, "adaptive")
+        assert not np.array_equal(W, W.T)
+
+
+class TestAdaptiveScalingStaysBatched:
+    """A fallback to per-pair loops keeps every answer and only costs
+    time, which the sweep's latency gate is too coarse to see; these
+    count the calls instead."""
+
+    def test_one_pairwise_call_per_query_row(self, adaptive_data, monkeypatch):
+        from repro.distances.base import DistanceMeasure
+        from repro.normalization.base import Normalizer
+
+        calls = {"apply_pair": 0, "pairwise": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            Normalizer, "apply_pair", counted("apply_pair", Normalizer.apply_pair)
+        )
+        monkeypatch.setattr(
+            DistanceMeasure, "pairwise", counted("pairwise", DistanceMeasure.pairwise)
+        )
+        X, Y = adaptive_data
+        dissimilarity_matrix("lorentzian", X, Y, "adaptive")
+        assert calls == {"apply_pair": 0, "pairwise": len(X)}
+
+    def test_elastic_measure_never_calls_its_scalar_function(self, adaptive_data):
+        import dataclasses
+
+        from repro.distances import get_measure
+
+        calls = []
+        msm = get_measure("msm")
+
+        def scalar(x, y, **params):
+            calls.append(1)
+            return msm.func(x, y, **params)
+
+        spied = dataclasses.replace(msm, func=scalar)
+        X, Y = adaptive_data
+        got = dissimilarity_matrix(spied, X, Y, "adaptive", backend="reference")
+        want = dissimilarity_matrix(msm, X, Y, "adaptive", backend="reference")
+        assert calls == []
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTuning:

@@ -41,6 +41,7 @@ from repro.index import (
     normalize_index_specs,
     restore_index,
 )
+from repro.index import base as index_base
 from repro.index import scan
 from repro.normalization import get_normalizer
 from repro.search import NeighborResult, nearest_neighbors
@@ -149,6 +150,28 @@ class TestEuclideanKernel:
         np.testing.assert_array_equal(dist, want_dist)
         assert stats.candidates == Q.shape[0] * X.shape[0]
         assert stats.refined >= k * Q.shape[0]
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1])
+    @pytest.mark.parametrize("k", ["1", "3", "n"])
+    def test_brute_scan_equals_row_wise_oracle(
+        self, cases, k, chunk_rows, monkeypatch
+    ):
+        """``prune=False`` (``mode="brute"``) merges each refine chunk into
+        the running top k; with one row per chunk every tie and
+        duplicate crosses a chunk boundary."""
+        for name, (X, Q) in cases.items():
+            kk = X.shape[0] if k == "n" else int(k)
+            index = build_index("ed_scan", X, measure="euclidean", params={})
+            with monkeypatch.context() as patch:
+                if chunk_rows is not None:
+                    patch.setattr(
+                        index_base, "REFINE_BUDGET", chunk_rows * X.shape[1]
+                    )
+                idx, dist, stats = index.search(Q, kk, prune=False)
+            want_idx, want_dist = row_wise_oracle(X, Q, kk)
+            np.testing.assert_array_equal(idx, want_idx, err_msg=name)
+            np.testing.assert_array_equal(dist, want_dist, err_msg=name)
+            assert stats.refined == stats.candidates == Q.shape[0] * X.shape[0]
 
     def test_slack_is_load_bearing(self, adversarial_batches, monkeypatch):
         """Near-duplicates at a large offset: the GEMM screen's rounding

@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.exceptions import UnknownNormalizationError
+from repro._validation import EPS
+from repro.exceptions import UnknownNormalizationError, ValidationError
 from repro.normalization import (
+    ADAPTIVE_SCALING,
     PAPER_NORMALIZATIONS,
+    ZSCORE,
     adaptive_scaling_factor,
     get_normalizer,
     list_normalizers,
     logistic,
+    make_minmax_range,
     mean_norm,
     median_norm,
     minmax,
@@ -228,3 +232,171 @@ class TestMinMaxRangeFactory:
 
         with pytest.raises(ValueError):
             make_minmax_range(1.0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# The row-wise layer: one core per method, whole datasets in one call
+# ----------------------------------------------------------------------
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# The per-series formulas as they were written before the row-wise cores
+# existed, kept as an independent oracle: every core must reproduce them
+# bit for bit (the parent-format artifact fixtures, all z-score, check
+# their fresh-fit fingerprints against this arithmetic).
+def _scalar_zscore(x):
+    std = x.std()
+    return np.zeros_like(x) if std < EPS else (x - x.mean()) / std
+
+
+def _scalar_minmax(x, low=0.0, high=1.0):
+    span = x.max() - x.min()
+    if span < EPS:
+        return np.full_like(x, (low + high) / 2.0)
+    scaled = (x - x.min()) / span
+    return low + scaled * (high - low)
+
+
+def _scalar_mean_norm(x):
+    span = x.max() - x.min()
+    return np.zeros_like(x) if span < EPS else (x - x.mean()) / span
+
+
+def _scalar_median_norm(x):
+    med = np.median(x)
+    if abs(med) >= EPS:
+        return x / med
+    mean = x.mean()
+    if abs(mean) >= EPS:
+        return x / mean
+    return x.copy()
+
+
+def _scalar_logistic(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    expx = np.exp(x[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    return out
+
+
+SCALAR_ORACLES = {
+    "zscore": _scalar_zscore,
+    "minmax": _scalar_minmax,
+    "meannorm": _scalar_mean_norm,
+    "mediannorm": _scalar_median_norm,
+    "logistic": _scalar_logistic,
+    "tanh": np.tanh,
+}
+
+
+@pytest.fixture(scope="module")
+def row_cases(adversarial_batches):
+    """Every ``adversarial_batches`` case plus the median fallbacks and
+    rows that are negative throughout."""
+    gen = np.random.default_rng(31)
+    return {
+        **adversarial_batches,
+        "zero_median": np.array([[-1.0, 0.0, 0.0, 5.0], [2.0, 0.0, 0.0, -7.0]]),
+        "zero_mean_and_median": np.array(
+            [[-1.0, 0.0, 1.0], [-2.5, 0.0, 2.5], [0.0, 0.0, 0.0]]
+        ),
+        "all_negative": -np.abs(gen.normal(size=(6, 24))) - 0.5,
+    }
+
+
+def _all_normalizers():
+    return [get_normalizer(name) for name in list_normalizers()] + [
+        make_minmax_range(0.1, 1.0)
+    ]
+
+
+class TestRowWiseLayer:
+    @pytest.mark.parametrize("norm", _all_normalizers(), ids=lambda n: n.name)
+    def test_dataset_equals_row_by_row(self, norm, row_cases):
+        for name, X in row_cases.items():
+            want = np.vstack([norm(row) for row in X])
+            assert _same_bits(norm.apply_dataset(X), want), name
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_ORACLES))
+    def test_matches_the_per_series_formulas(self, name, row_cases):
+        norm, oracle = get_normalizer(name), SCALAR_ORACLES[name]
+        for case, X in row_cases.items():
+            want = np.vstack([oracle(row) for row in X])
+            assert _same_bits(norm.apply_dataset(X), want), case
+            assert _same_bits(norm(X[0]), oracle(X[0])), case
+
+    def test_minmax_range_matches_the_per_series_formula(self, row_cases):
+        norm = make_minmax_range(0.1, 1.0)
+        for case, X in row_cases.items():
+            want = np.vstack([_scalar_minmax(row, 0.1, 1.0) for row in X])
+            assert _same_bits(norm.apply_dataset(X), want), case
+
+    def test_unit_length_is_one_last_axis_reduction(self, row_cases):
+        norm = get_normalizer("unitlength")
+        for case, X in row_cases.items():
+            length = np.sqrt((X * X).sum(axis=1))[:, None]
+            want = np.zeros_like(X)
+            np.divide(X, length, out=want, where=length >= EPS)
+            got = norm.apply_dataset(X)
+            assert _same_bits(got, want), case
+            # The same series BLAS would scale by np.linalg.norm.
+            blas = np.vstack(
+                [r / np.linalg.norm(r) if np.linalg.norm(r) >= EPS else 0 * r for r in X]
+            )
+            assert np.allclose(got, blas, rtol=1e-14, atol=0.0), case
+
+    def test_apply_dataset_calls_its_core_once(self):
+        import dataclasses
+
+        calls = []
+
+        def core(X):
+            calls.append(X.shape)
+            return ZSCORE.transform(X)
+
+        X = np.random.default_rng(3).normal(size=(9, 12))
+        counted = dataclasses.replace(ZSCORE, transform=core)
+        assert _same_bits(counted.apply_dataset(X), ZSCORE.apply_dataset(X))
+        assert calls == [(9, 12)]
+
+    def test_dataset_path_returns_a_new_array(self):
+        X = np.random.default_rng(4).normal(size=(3, 5))
+        for norm in _all_normalizers():
+            out = norm.apply_dataset(X)
+            if not norm.is_pairwise:
+                assert not np.shares_memory(out, X), norm.name
+
+
+class TestAdaptiveFactors:
+    def test_factor_is_one_last_axis_reduction(self, row_cases):
+        for case, X in row_cases.items():
+            x = X[0]
+            for y in X:
+                denom = (y * y).sum()
+                want = 0.0 if denom < EPS else (x * y).sum() / denom
+                assert adaptive_scaling_factor(x, y) == want, case
+
+    def test_batched_pair_transform_equals_each_pair(self, row_cases):
+        for case, X in row_cases.items():
+            for x in X[:3]:
+                kept, scaled = ADAPTIVE_SCALING.pair_transform(x, X)
+                assert kept is x
+                want = np.vstack(
+                    [ADAPTIVE_SCALING.apply_pair(x, y)[1] for y in X]
+                )
+                assert _same_bits(scaled, want), case
+
+    def test_zero_reference_row_scales_to_zero(self):
+        X = np.array([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0]])
+        _, scaled = ADAPTIVE_SCALING.pair_transform(np.ones(3), X)
+        assert np.array_equal(scaled[1], np.zeros(3))
+
+    def test_unequal_lengths_name_both(self):
+        x, y = np.ones(20), np.ones(25)
+        with pytest.raises(ValidationError, match="20 and 25"):
+            adaptive_scaling_factor(x, y)
+        with pytest.raises(ValidationError, match="20 and 25"):
+            get_normalizer("adaptive").apply_pair(x, y)
