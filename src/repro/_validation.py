@@ -18,6 +18,13 @@ from .exceptions import ValidationError
 EPS = 1e-12
 
 
+def guarded_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, and 0 wherever ``den < EPS`` (a constant or zero
+    series), without ever dividing by such a denominator."""
+    out = np.zeros(np.broadcast_shapes(np.shape(num), np.shape(den)))
+    return np.divide(num, den, out=out, where=~(den < EPS))
+
+
 def as_series(x: Sequence[float] | np.ndarray, name: str = "x") -> np.ndarray:
     """Coerce *x* to a 1-D contiguous float64 array.
 

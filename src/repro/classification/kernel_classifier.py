@@ -23,7 +23,8 @@ import numpy as np
 
 from .._validation import as_dataset, as_labels
 from ..distances.base import get_measure, list_measures
-from ..distances.kernels.sink import series_spectra, sink_similarity_matrix
+from ..distances.kernels.sink import sink_similarity_matrix
+from ..distances.sliding.cross_correlation import sliding_reference
 from ..exceptions import EvaluationError, ParameterError
 
 
@@ -53,8 +54,8 @@ def kernel_matrix(
     Ya = None if Y is None else as_dataset(Y, "Y")
     params = {} if gamma is None else {"gamma": gamma}
     if kernel == "sink":
-        rows = series_spectra(Xa)
-        cols = rows if Ya is None else series_spectra(Ya)
+        rows = sliding_reference(Xa)
+        cols = rows if Ya is None else sliding_reference(Ya)
         return sink_similarity_matrix(rows, cols, **params)
     if kernel == "rbf":
         gamma = get_measure("rbf").resolve_params(params)["gamma"]

@@ -27,6 +27,8 @@ import numpy as np
 
 from ..._validation import EPS, as_pair
 from ..base import DistanceMeasure, ParamSpec, register_measure
+from ..lockstep._common import elementwise_matrix
+from ..lockstep.minkowski import euclidean
 from ._dp import INF, as_float_list
 from .dtw import dtw
 
@@ -102,22 +104,20 @@ def wdtw(x: np.ndarray, y: np.ndarray, g: float = 0.05) -> float:
     return float(total) ** 0.5 if total != INF else INF
 
 
-def complexity(x: np.ndarray) -> float:
-    r"""CID complexity estimate :math:`\sqrt{\sum_i (x_{i+1} - x_i)^2}`."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] < 2:
-        return 0.0
-    diff = np.diff(x)
-    return float(np.sqrt(np.dot(diff, diff)))
+def complexity(x: np.ndarray) -> np.ndarray:
+    r"""CID complexity estimate :math:`\sqrt{\sum_i (x_{i+1} - x_i)^2}`
+    along the last axis (0 for a single point)."""
+    diff = np.diff(np.asarray(x, dtype=np.float64), axis=-1)
+    diff *= diff
+    return np.sqrt(diff.sum(axis=-1))
 
 
-def cid_factor(x: np.ndarray, y: np.ndarray) -> float:
-    """Complexity-invariance correction factor ``max(c)/min(c) >= 1``."""
+def cid_factor(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Complexity-invariance correction factor ``max(c)/min(c) >= 1``
+    (1 when both series are flat)."""
     cx, cy = complexity(x), complexity(y)
-    lo, hi = min(cx, cy), max(cx, cy)
-    if hi < EPS:
-        return 1.0
-    return hi / max(lo, EPS)
+    hi = np.maximum(cx, cy)
+    return np.where(hi < EPS, 1.0, hi / np.maximum(np.minimum(cx, cy), EPS))
 
 
 def cid(
@@ -135,11 +135,11 @@ def cid(
 
     x, y = as_pair(x, y, require_equal_length=False)
     measure = get_measure(base)
-    return measure(x, y, **base_params) * cid_factor(x, y)
+    return measure(x, y, **base_params) * float(cid_factor(x, y))
 
 
-def _cid_euclidean(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.linalg.norm(x - y)) * cid_factor(x, y)
+def _cid_euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return euclidean(x, y) * cid_factor(x, y)
 
 
 DDTW = register_measure(
@@ -197,6 +197,7 @@ CID_ED = register_measure(
         category="extra",
         family="elastic_extension",
         func=_cid_euclidean,
+        matrix_func=elementwise_matrix(_cid_euclidean),
         complexity="O(m)",
         aliases=("cided",),
         description="Complexity-invariant ED [16] (Section 7 extension).",

@@ -20,30 +20,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import DistanceMeasure, ParamSpec, register_measure
+from ..lockstep._common import gram_matrix, squared_gap
+from ..lockstep.squared_l2 import squared_euclidean
 
 _GAMMA_GRID = tuple(2.0 ** exp for exp in range(-15, 1))
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float = 0.03125) -> float:
     r"""Kernel value :math:`e^{-\gamma \|x - y\|^2}` in ``(0, 1]``."""
-    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(np.exp(-gamma * np.dot(diff, diff)))
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return float(np.exp(-rbf(x, y, gamma)))
 
 
-def rbf(x: np.ndarray, y: np.ndarray, gamma: float = 0.03125) -> float:
+def rbf(x: np.ndarray, y: np.ndarray, gamma: float = 0.03125) -> np.ndarray:
     r"""RBF dissimilarity :math:`\gamma \|x - y\|^2 = -\log k(x, y)` in
     ``[0, inf)``: monotone in ED for every pair, so never saturated."""
-    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(gamma * np.dot(diff, diff))
-
-
-def _rbf_matrix(X: np.ndarray, Y: np.ndarray, gamma: float = 0.03125) -> np.ndarray:
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(Y * Y, axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
-    return gamma * np.maximum(sq, 0.0)
+    return gamma * squared_euclidean(x, y)
 
 
 RBF = register_measure(
@@ -53,7 +46,9 @@ RBF = register_measure(
         category="kernel",
         family="kernel",
         func=rbf,
-        matrix_func=_rbf_matrix,
+        matrix_func=gram_matrix(
+            lambda xx, yy, xy, gamma: gamma * squared_gap(xx, yy, xy)
+        ),
         params=(
             ParamSpec(
                 name="gamma",

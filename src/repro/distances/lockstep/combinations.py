@@ -11,53 +11,31 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import DistanceMeasure, register_measure
-from ._common import EPS, broadcast_matrix, elementwise_matrix, safe_div, safe_log
+from ._common import EPS, elementwise_matrix, safe_div, safe_log
 
 
-def taneja(x: np.ndarray, y: np.ndarray) -> float:
+def taneja(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i \frac{x_i+y_i}{2}\ln\frac{x_i+y_i}{2\sqrt{x_i y_i}}`."""
     mid = (x + y) / 2.0
     geo = np.sqrt(np.maximum(x * y, EPS))
-    return float((mid * safe_log(safe_div(mid, geo))).sum())
+    return (mid * safe_log(safe_div(mid, geo))).sum(axis=-1)
 
 
-def kumar_johnson(x: np.ndarray, y: np.ndarray) -> float:
+def kumar_johnson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i \frac{(x_i^2 - y_i^2)^2}{2 (x_i y_i)^{3/2}}`."""
     num = (x * x - y * y) ** 2
     den = 2.0 * np.power(np.maximum(x * y, EPS), 1.5)
-    return float(safe_div(num, den).sum())
+    return safe_div(num, den).sum(axis=-1)
 
 
-def avg_l1_linf(x: np.ndarray, y: np.ndarray) -> float:
+def avg_l1_linf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\frac{\sum_i |x_i-y_i| + \max_i |x_i-y_i|}{2}`.
 
     The "Avg :math:`L_1/L_\infty`" row of the paper's Table 2: a
     parameter-free measure that significantly beats ED.
     """
     diff = np.abs(x - y)
-    return float((diff.sum() + diff.max()) / 2.0)
-
-
-def _avg_l1_linf_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    def row_fn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = np.abs(a - b)
-        return (diff.sum(axis=-1) + diff.max(axis=-1)) / 2.0
-
-    return broadcast_matrix(X, Y, row_fn)
-
-
-def _taneja_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mid = (a + b) / 2.0
-    geo = np.sqrt(np.maximum(a * b, EPS))
-    return (mid * safe_log(safe_div(mid, geo))).sum(axis=-1)
-
-
-_taneja_matrix = elementwise_matrix(_taneja_rows)
-_kumar_johnson_matrix = elementwise_matrix(
-    lambda a, b: safe_div(
-        (a * a - b * b) ** 2, 2.0 * np.power(np.maximum(a * b, EPS), 1.5)
-    ).sum(axis=-1)
-)
+    return (diff.sum(axis=-1) + diff.max(axis=-1)) / 2.0
 
 
 TANEJA = register_measure(
@@ -67,7 +45,7 @@ TANEJA = register_measure(
         category="lockstep",
         family="combination",
         func=taneja,
-        matrix_func=_taneja_matrix,
+        matrix_func=elementwise_matrix(taneja),
         requires_nonnegative=True,
         description="Arithmetic-geometric mean divergence.",
     )
@@ -80,7 +58,7 @@ KUMAR_JOHNSON = register_measure(
         category="lockstep",
         family="combination",
         func=kumar_johnson,
-        matrix_func=_kumar_johnson_matrix,
+        matrix_func=elementwise_matrix(kumar_johnson),
         requires_nonnegative=True,
         description="Symmetric chi-square / geometric-mean hybrid.",
     )
@@ -93,7 +71,7 @@ AVG_L1_LINF = register_measure(
         category="lockstep",
         family="combination",
         func=avg_l1_linf,
-        matrix_func=_avg_l1_linf_matrix,
+        matrix_func=elementwise_matrix(avg_l1_linf),
         aliases=("avg", "avgl1chebyshev"),
         description="Mean of Manhattan and Chebyshev; a Table 2 winner.",
     )

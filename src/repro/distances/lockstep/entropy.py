@@ -17,78 +17,48 @@ from ..base import DistanceMeasure, register_measure
 from ._common import elementwise_matrix, safe_div, safe_log
 
 
-def kullback_leibler(x: np.ndarray, y: np.ndarray) -> float:
+def kullback_leibler(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i x_i \ln(x_i / y_i)` (asymmetric)."""
-    return float((x * safe_log(safe_div(x, y))).sum())
+    return (x * safe_log(safe_div(x, y))).sum(axis=-1)
 
 
-def jeffreys(x: np.ndarray, y: np.ndarray) -> float:
-    r""":math:`\sum_i (x_i - y_i) \ln(x_i / y_i)` — symmetrized KL."""
-    return float(((x - y) * safe_log(safe_div(x, y))).sum())
+def jeffreys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r""":math:`\sum_i (x_i - y_i) (\ln x_i - \ln y_i)` — symmetrized KL.
+
+    Written as a difference of logs, not the log of a floored ratio: the
+    floor would clip ``x_i / y_i`` but not ``y_i / x_i`` and make
+    :math:`d(x, y) \ne d(y, x)`; each term here is exactly symmetric.
+    """
+    return ((x - y) * (safe_log(x) - safe_log(y))).sum(axis=-1)
 
 
-def k_divergence(x: np.ndarray, y: np.ndarray) -> float:
+def k_divergence(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i x_i \ln\left(\frac{2 x_i}{x_i + y_i}\right)` (asymmetric)."""
-    return float((x * safe_log(safe_div(2.0 * x, x + y))).sum())
+    return (x * safe_log(safe_div(2.0 * x, x + y))).sum(axis=-1)
 
 
-def topsoe(x: np.ndarray, y: np.ndarray) -> float:
+def topsoe(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i \left[x_i \ln\frac{2x_i}{x_i+y_i} + y_i \ln\frac{2y_i}{x_i+y_i}\right]`.
 
     Twice the Jensen-Shannon divergence; a Table 2 entry under MinMax.
     """
     s = x + y
-    return float(
-        (x * safe_log(safe_div(2.0 * x, s)) + y * safe_log(safe_div(2.0 * y, s))).sum()
-    )
+    return (
+        x * safe_log(safe_div(2.0 * x, s)) + y * safe_log(safe_div(2.0 * y, s))
+    ).sum(axis=-1)
 
 
-def jensen_shannon(x: np.ndarray, y: np.ndarray) -> float:
+def jensen_shannon(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Half of :func:`topsoe` — the Jensen-Shannon divergence."""
     return 0.5 * topsoe(x, y)
 
 
-def jensen_difference(x: np.ndarray, y: np.ndarray) -> float:
+def jensen_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i \left[\frac{x_i \ln x_i + y_i \ln y_i}{2} - \frac{x_i+y_i}{2}\ln\frac{x_i+y_i}{2}\right]`."""
     mid = (x + y) / 2.0
-    return float(
-        (
-            (x * safe_log(x) + y * safe_log(y)) / 2.0
-            - mid * safe_log(mid)
-        ).sum()
-    )
-
-
-_kl_matrix = elementwise_matrix(
-    lambda a, b: (a * safe_log(safe_div(a, b))).sum(axis=-1)
-)
-_jeffreys_matrix = elementwise_matrix(
-    lambda a, b: ((a - b) * safe_log(safe_div(a, b))).sum(axis=-1)
-)
-_kdiv_matrix = elementwise_matrix(
-    lambda a, b: (a * safe_log(safe_div(2.0 * a, a + b))).sum(axis=-1)
-)
-
-
-def _topsoe_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    s = a + b
     return (
-        a * safe_log(safe_div(2.0 * a, s)) + b * safe_log(safe_div(2.0 * b, s))
+        (x * safe_log(x) + y * safe_log(y)) / 2.0 - mid * safe_log(mid)
     ).sum(axis=-1)
-
-
-_topsoe_matrix = elementwise_matrix(_topsoe_rows)
-_js_matrix = elementwise_matrix(lambda a, b: 0.5 * _topsoe_rows(a, b))
-
-
-def _jensen_diff_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mid = (a + b) / 2.0
-    return (
-        (a * safe_log(a) + b * safe_log(b)) / 2.0 - mid * safe_log(mid)
-    ).sum(axis=-1)
-
-
-_jensen_diff_matrix = elementwise_matrix(_jensen_diff_rows)
 
 
 KULLBACK_LEIBLER = register_measure(
@@ -98,7 +68,7 @@ KULLBACK_LEIBLER = register_measure(
         category="lockstep",
         family="entropy",
         func=kullback_leibler,
-        matrix_func=_kl_matrix,
+        matrix_func=elementwise_matrix(kullback_leibler),
         requires_nonnegative=True,
         symmetric=False,
         aliases=("kl",),
@@ -113,7 +83,7 @@ JEFFREYS = register_measure(
         category="lockstep",
         family="entropy",
         func=jeffreys,
-        matrix_func=_jeffreys_matrix,
+        matrix_func=elementwise_matrix(jeffreys),
         requires_nonnegative=True,
         aliases=("jdivergence",),
         description="Symmetrized Kullback-Leibler divergence.",
@@ -127,7 +97,7 @@ K_DIVERGENCE = register_measure(
         category="lockstep",
         family="entropy",
         func=k_divergence,
-        matrix_func=_kdiv_matrix,
+        matrix_func=elementwise_matrix(k_divergence),
         requires_nonnegative=True,
         symmetric=False,
         description="KL of x against the midpoint density.",
@@ -141,7 +111,7 @@ TOPSOE = register_measure(
         category="lockstep",
         family="entropy",
         func=topsoe,
-        matrix_func=_topsoe_matrix,
+        matrix_func=elementwise_matrix(topsoe),
         requires_nonnegative=True,
         description="Twice Jensen-Shannon; appears in Table 2 under MinMax.",
     )
@@ -154,7 +124,7 @@ JENSEN_SHANNON = register_measure(
         category="lockstep",
         family="entropy",
         func=jensen_shannon,
-        matrix_func=_js_matrix,
+        matrix_func=elementwise_matrix(jensen_shannon),
         requires_nonnegative=True,
         aliases=("js",),
         description="Symmetric, bounded entropy divergence.",
@@ -168,7 +138,7 @@ JENSEN_DIFFERENCE = register_measure(
         category="lockstep",
         family="entropy",
         func=jensen_difference,
-        matrix_func=_jensen_diff_matrix,
+        matrix_func=elementwise_matrix(jensen_difference),
         requires_nonnegative=True,
         description="Entropy-difference form of Jensen-Shannon.",
     )

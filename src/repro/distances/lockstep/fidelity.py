@@ -16,55 +16,34 @@ from ..base import DistanceMeasure, register_measure
 from ._common import elementwise_matrix
 
 
-def fidelity(x: np.ndarray, y: np.ndarray) -> float:
+def fidelity(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`1 - \sum_i \sqrt{x_i y_i}` (complement of fidelity similarity)."""
-    return float(1.0 - np.sqrt(x * y).sum())
+    return 1.0 - np.sqrt(x * y).sum(axis=-1)
 
 
-def bhattacharyya(x: np.ndarray, y: np.ndarray) -> float:
+def bhattacharyya(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`-\ln \sum_i \sqrt{x_i y_i}`."""
-    bc = np.sqrt(x * y).sum()
-    return float(-np.log(max(bc, EPS)))
+    return -np.log(np.maximum(np.sqrt(x * y).sum(axis=-1), EPS))
 
 
-def hellinger(x: np.ndarray, y: np.ndarray) -> float:
+def hellinger(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sqrt{2 \sum_i (\sqrt{x_i} - \sqrt{y_i})^2}`.
 
     The difference form rather than :math:`2\sqrt{1 - \sum\sqrt{xy}}` so
     the measure stays well defined for unnormalized inputs; the two agree
     for proper densities.
     """
-    diff = np.sqrt(x) - np.sqrt(y)
-    return float(np.sqrt(2.0 * np.dot(diff, diff)))
+    return np.sqrt(2.0 * squared_chord(x, y))
 
 
-def matusita(x: np.ndarray, y: np.ndarray) -> float:
+def matusita(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sqrt{\sum_i (\sqrt{x_i} - \sqrt{y_i})^2}`."""
-    diff = np.sqrt(x) - np.sqrt(y)
-    return float(np.sqrt(np.dot(diff, diff)))
+    return np.sqrt(squared_chord(x, y))
 
 
-def squared_chord(x: np.ndarray, y: np.ndarray) -> float:
+def squared_chord(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i (\sqrt{x_i} - \sqrt{y_i})^2`."""
-    diff = np.sqrt(x) - np.sqrt(y)
-    return float(np.dot(diff, diff))
-
-
-_fidelity_matrix = elementwise_matrix(
-    lambda a, b: 1.0 - np.sqrt(a * b).sum(axis=-1)
-)
-_bhattacharyya_matrix = elementwise_matrix(
-    lambda a, b: -np.log(np.maximum(np.sqrt(a * b).sum(axis=-1), EPS))
-)
-_hellinger_matrix = elementwise_matrix(
-    lambda a, b: np.sqrt(2.0 * ((np.sqrt(a) - np.sqrt(b)) ** 2).sum(axis=-1))
-)
-_matusita_matrix = elementwise_matrix(
-    lambda a, b: np.sqrt(((np.sqrt(a) - np.sqrt(b)) ** 2).sum(axis=-1))
-)
-_squared_chord_matrix = elementwise_matrix(
-    lambda a, b: ((np.sqrt(a) - np.sqrt(b)) ** 2).sum(axis=-1)
-)
+    return ((np.sqrt(x) - np.sqrt(y)) ** 2).sum(axis=-1)
 
 
 FIDELITY = register_measure(
@@ -74,7 +53,7 @@ FIDELITY = register_measure(
         category="lockstep",
         family="fidelity",
         func=fidelity,
-        matrix_func=_fidelity_matrix,
+        matrix_func=elementwise_matrix(fidelity),
         requires_nonnegative=True,
         description="Complement of the Bhattacharyya coefficient.",
     )
@@ -87,7 +66,7 @@ BHATTACHARYYA = register_measure(
         category="lockstep",
         family="fidelity",
         func=bhattacharyya,
-        matrix_func=_bhattacharyya_matrix,
+        matrix_func=elementwise_matrix(bhattacharyya),
         requires_nonnegative=True,
         description="Negative log Bhattacharyya coefficient.",
     )
@@ -100,7 +79,7 @@ HELLINGER = register_measure(
         category="lockstep",
         family="fidelity",
         func=hellinger,
-        matrix_func=_hellinger_matrix,
+        matrix_func=elementwise_matrix(hellinger),
         requires_nonnegative=True,
         description="Root-2-scaled root-difference norm.",
     )
@@ -113,7 +92,7 @@ MATUSITA = register_measure(
         category="lockstep",
         family="fidelity",
         func=matusita,
-        matrix_func=_matusita_matrix,
+        matrix_func=elementwise_matrix(matusita),
         requires_nonnegative=True,
         description="Root-difference norm (Hellinger / sqrt(2)).",
     )
@@ -126,7 +105,7 @@ SQUARED_CHORD = register_measure(
         category="lockstep",
         family="fidelity",
         func=squared_chord,
-        matrix_func=_squared_chord_matrix,
+        matrix_func=elementwise_matrix(squared_chord),
         requires_nonnegative=True,
         description="Squared root-difference norm.",
     )

@@ -14,106 +14,64 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..._validation import EPS
+from ..._validation import EPS, guarded_divide
 from ..base import DistanceMeasure, register_measure
-from ._common import broadcast_matrix, safe_div
+from ._common import elementwise_matrix, gram_matrix, safe_div
 
 
-def inner_product(x: np.ndarray, y: np.ndarray) -> float:
+def inner_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Negated inner product :math:`-\sum x_i y_i`.
 
     Under z-normalization, ranking by this measure is identical to ranking
     by Euclidean distance (the paper uses that equivalence to critique
     [57]); the test suite asserts it.
     """
-    return float(-np.dot(x, y))
+    return -(x * y).sum(axis=-1)
 
 
-def harmonic_mean(x: np.ndarray, y: np.ndarray) -> float:
+def harmonic_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Negated harmonic-mean similarity :math:`-2\sum x_i y_i/(x_i+y_i)`."""
-    return float(-2.0 * safe_div(x * y, x + y).sum())
+    return -2.0 * safe_div(x * y, x + y).sum(axis=-1)
 
 
-def cosine(x: np.ndarray, y: np.ndarray) -> float:
-    r""":math:`1 - \frac{\sum x_i y_i}{\|x\|\,\|y\|}` (cosine distance)."""
-    denom = np.linalg.norm(x) * np.linalg.norm(y)
-    if denom < EPS:
-        return 1.0
-    return float(1.0 - np.dot(x, y) / denom)
+def cosine(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r""":math:`1 - \frac{\sum x_i y_i}{\|x\|\,\|y\|}` (cosine distance);
+    1 when :math:`\|x\|\,\|y\| <` ``EPS``."""
+    return _cosine_form(
+        (x * x).sum(axis=-1), (y * y).sum(axis=-1), (x * y).sum(axis=-1)
+    )
 
 
-def kumar_hassebrook(x: np.ndarray, y: np.ndarray) -> float:
+def _cosine_form(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    return 1.0 - guarded_divide(xy, np.sqrt(xx) * np.sqrt(yy))
+
+
+def kumar_hassebrook(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`1 - \frac{\sum x_i y_i}{\sum x_i^2 + \sum y_i^2 - \sum x_i y_i}`.
 
     Complement of the PCE (peak-to-correlation energy) similarity.
     """
-    dot = np.dot(x, y)
-    den = np.dot(x, x) + np.dot(y, y) - dot
-    return float(1.0 - safe_div(np.asarray(dot), np.asarray(den)))
+    dot = (x * y).sum(axis=-1)
+    den = (x * x).sum(axis=-1) + (y * y).sum(axis=-1) - dot
+    return 1.0 - dot / np.maximum(den, EPS)
 
 
-def jaccard(x: np.ndarray, y: np.ndarray) -> float:
+def jaccard(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\frac{\sum (x_i-y_i)^2}{\sum x_i^2 + \sum y_i^2 - \sum x_i y_i}`.
 
     Algebraically equal to :func:`kumar_hassebrook`; a Table 2 winner under
     MeanNorm scaling.
     """
-    diff = x - y
-    num = np.dot(diff, diff)
-    den = np.dot(x, x) + np.dot(y, y) - np.dot(x, y)
-    return float(safe_div(np.asarray(num), np.asarray(den)))
+    num = ((x - y) ** 2).sum(axis=-1)
+    den = (x * x).sum(axis=-1) + (y * y).sum(axis=-1) - (x * y).sum(axis=-1)
+    return num / np.maximum(den, EPS)
 
 
-def dice(x: np.ndarray, y: np.ndarray) -> float:
+def dice(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\frac{\sum (x_i-y_i)^2}{\sum x_i^2 + \sum y_i^2}`."""
-    diff = x - y
-    num = np.dot(diff, diff)
-    den = np.dot(x, x) + np.dot(y, y)
-    return float(safe_div(np.asarray(num), np.asarray(den)))
-
-
-def _cosine_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    nx = np.linalg.norm(X, axis=1)
-    ny = np.linalg.norm(Y, axis=1)
-    denom = np.maximum(nx[:, None] * ny[None, :], EPS)
-    return 1.0 - (X @ Y.T) / denom
-
-
-def _inner_product_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return -(X @ Y.T)
-
-
-def _jaccard_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    def row_fn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff2 = ((a - b) ** 2).sum(axis=-1)
-        den = (a * a).sum(axis=-1) + (b * b).sum(axis=-1) - (a * b).sum(axis=-1)
-        return diff2 / np.maximum(den, EPS)
-
-    return broadcast_matrix(X, Y, row_fn)
-
-
-def _harmonic_mean_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return broadcast_matrix(
-        X, Y, lambda a, b: -2.0 * safe_div(a * b, a + b).sum(axis=-1)
-    )
-
-
-def _dice_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    def row_fn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        num = ((a - b) ** 2).sum(axis=-1)
-        den = (a * a).sum(axis=-1) + (b * b).sum(axis=-1)
-        return num / np.maximum(den, EPS)
-
-    return broadcast_matrix(X, Y, row_fn)
-
-
-def _kumar_hassebrook_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    def row_fn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        dot = (a * b).sum(axis=-1)
-        den = (a * a).sum(axis=-1) + (b * b).sum(axis=-1) - dot
-        return 1.0 - dot / np.maximum(den, EPS)
-
-    return broadcast_matrix(X, Y, row_fn)
+    num = ((x - y) ** 2).sum(axis=-1)
+    den = (x * x).sum(axis=-1) + (y * y).sum(axis=-1)
+    return num / np.maximum(den, EPS)
 
 
 INNER_PRODUCT = register_measure(
@@ -123,7 +81,7 @@ INNER_PRODUCT = register_measure(
         category="lockstep",
         family="inner_product",
         func=inner_product,
-        matrix_func=_inner_product_matrix,
+        matrix_func=gram_matrix(lambda xx, yy, xy: -xy),
         aliases=("dotproduct",),
         description="Negated dot product (ED-equivalent under z-score).",
     )
@@ -136,7 +94,7 @@ HARMONIC_MEAN = register_measure(
         category="lockstep",
         family="inner_product",
         func=harmonic_mean,
-        matrix_func=_harmonic_mean_matrix,
+        matrix_func=elementwise_matrix(harmonic_mean),
         requires_nonnegative=True,
         description="Negated harmonic-mean similarity.",
     )
@@ -149,7 +107,7 @@ COSINE = register_measure(
         category="lockstep",
         family="inner_product",
         func=cosine,
-        matrix_func=_cosine_matrix,
+        matrix_func=gram_matrix(_cosine_form),
         description="One minus cosine similarity.",
     )
 )
@@ -161,7 +119,7 @@ KUMAR_HASSEBROOK = register_measure(
         category="lockstep",
         family="inner_product",
         func=kumar_hassebrook,
-        matrix_func=_kumar_hassebrook_matrix,
+        matrix_func=elementwise_matrix(kumar_hassebrook),
         aliases=("pce",),
         description="Complement of the PCE similarity (== Jaccard distance).",
     )
@@ -174,7 +132,7 @@ JACCARD = register_measure(
         category="lockstep",
         family="inner_product",
         func=jaccard,
-        matrix_func=_jaccard_matrix,
+        matrix_func=elementwise_matrix(jaccard),
         description="Squared-difference Jaccard; Table 2 winner under MeanNorm.",
     )
 )
@@ -186,7 +144,7 @@ DICE = register_measure(
         category="lockstep",
         family="inner_product",
         func=dice,
-        matrix_func=_dice_matrix,
+        matrix_func=elementwise_matrix(dice),
         description="Squared-difference Dice coefficient distance.",
     )
 )

@@ -15,95 +15,59 @@ import numpy as np
 
 from ..base import DistanceMeasure, register_measure
 from ._common import elementwise_matrix, safe_div
+from .l1_family import kulczynski, sorensen
+from .minkowski import manhattan
 
 
-def intersection(x: np.ndarray, y: np.ndarray) -> float:
+def intersection(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Non-overlap :math:`\frac{1}{2}\sum |x_i - y_i|`.
 
     Complement of the intersection similarity :math:`\sum\min(x_i,y_i)`
     for histograms of equal mass.
     """
-    return float(0.5 * np.abs(x - y).sum())
+    return 0.5 * manhattan(x, y)
 
 
-def wave_hedges(x: np.ndarray, y: np.ndarray) -> float:
+def wave_hedges(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i |x_i-y_i| / \max(x_i, y_i)`."""
-    return float(safe_div(np.abs(x - y), np.maximum(x, y)).sum())
+    return safe_div(np.abs(x - y), np.maximum(x, y)).sum(axis=-1)
 
 
-def czekanowski(x: np.ndarray, y: np.ndarray) -> float:
+def czekanowski(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum |x_i-y_i| / \sum (x_i+y_i)` — Sorensen's twin.
 
     Defined in the survey as :math:`1 - 2\sum\min / \sum(x+y)`, which
     reduces to the Sorensen ratio; equality is asserted in the test suite.
     """
-    num = np.abs(x - y).sum()
-    den = (x + y).sum()
-    return float(safe_div(np.asarray(num), np.asarray(den)))
+    return sorensen(x, y)
 
 
-def motyka(x: np.ndarray, y: np.ndarray) -> float:
+def motyka(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum \max(x_i,y_i) / \sum (x_i+y_i)` (in ``[1/2, 1]``)."""
-    num = np.maximum(x, y).sum()
-    den = (x + y).sum()
-    return float(safe_div(np.asarray(num), np.asarray(den)))
+    return safe_div(np.maximum(x, y).sum(axis=-1), (x + y).sum(axis=-1))
 
 
-def kulczynski_s(x: np.ndarray, y: np.ndarray) -> float:
+def kulczynski_s(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Reciprocal Kulczynski similarity: :math:`\sum|x-y| / \sum\min(x,y)`.
 
     The survey defines the *similarity* :math:`s = \sum\min / \sum|x-y|`;
     its reciprocal is the Kulczynski d distance, registered here under the
     similarity-form name for census completeness.
     """
-    num = np.abs(x - y).sum()
-    den = np.minimum(x, y).sum()
-    return float(safe_div(np.asarray(num), np.asarray(den)))
+    return kulczynski(x, y)
 
 
-def ruzicka(x: np.ndarray, y: np.ndarray) -> float:
+def ruzicka(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`1 - \sum \min(x_i,y_i) / \sum \max(x_i,y_i)`."""
-    num = np.minimum(x, y).sum()
-    den = np.maximum(x, y).sum()
-    return float(1.0 - safe_div(np.asarray(num), np.asarray(den)))
+    return 1.0 - safe_div(
+        np.minimum(x, y).sum(axis=-1), np.maximum(x, y).sum(axis=-1)
+    )
 
 
-def tanimoto(x: np.ndarray, y: np.ndarray) -> float:
+def tanimoto(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`(\sum\max - \sum\min) / \sum\max` — set-theoretic difference."""
-    mx = np.maximum(x, y).sum()
-    mn = np.minimum(x, y).sum()
-    return float(safe_div(np.asarray(mx - mn), np.asarray(mx)))
-
-
-_intersection_matrix = elementwise_matrix(
-    lambda a, b: 0.5 * np.abs(a - b).sum(axis=-1)
-)
-_wave_hedges_matrix = elementwise_matrix(
-    lambda a, b: safe_div(np.abs(a - b), np.maximum(a, b)).sum(axis=-1)
-)
-_czekanowski_matrix = elementwise_matrix(
-    lambda a, b: safe_div(np.abs(a - b).sum(axis=-1), (a + b).sum(axis=-1))
-)
-_motyka_matrix = elementwise_matrix(
-    lambda a, b: safe_div(
-        np.maximum(a, b).sum(axis=-1), (a + b).sum(axis=-1)
-    )
-)
-_kulczynski_s_matrix = elementwise_matrix(
-    lambda a, b: safe_div(
-        np.abs(a - b).sum(axis=-1), np.minimum(a, b).sum(axis=-1)
-    )
-)
-_ruzicka_matrix = elementwise_matrix(
-    lambda a, b: 1.0
-    - safe_div(np.minimum(a, b).sum(axis=-1), np.maximum(a, b).sum(axis=-1))
-)
-_tanimoto_matrix = elementwise_matrix(
-    lambda a, b: safe_div(
-        np.maximum(a, b).sum(axis=-1) - np.minimum(a, b).sum(axis=-1),
-        np.maximum(a, b).sum(axis=-1),
-    )
-)
+    mx = np.maximum(x, y).sum(axis=-1)
+    return safe_div(mx - np.minimum(x, y).sum(axis=-1), mx)
 
 
 INTERSECTION = register_measure(
@@ -113,7 +77,7 @@ INTERSECTION = register_measure(
         category="lockstep",
         family="intersection",
         func=intersection,
-        matrix_func=_intersection_matrix,
+        matrix_func=elementwise_matrix(intersection),
         requires_nonnegative=True,
         aliases=("nonintersection",),
         description="Half the L1 distance (histogram non-overlap).",
@@ -127,7 +91,7 @@ WAVE_HEDGES = register_measure(
         category="lockstep",
         family="intersection",
         func=wave_hedges,
-        matrix_func=_wave_hedges_matrix,
+        matrix_func=elementwise_matrix(wave_hedges),
         requires_nonnegative=True,
         description="Pointwise relative deviation w.r.t. the larger value.",
     )
@@ -140,7 +104,7 @@ CZEKANOWSKI = register_measure(
         category="lockstep",
         family="intersection",
         func=czekanowski,
-        matrix_func=_czekanowski_matrix,
+        matrix_func=elementwise_matrix(czekanowski),
         requires_nonnegative=True,
         description="Complement of the Czekanowski overlap (== Sorensen).",
     )
@@ -153,7 +117,7 @@ MOTYKA = register_measure(
         category="lockstep",
         family="intersection",
         func=motyka,
-        matrix_func=_motyka_matrix,
+        matrix_func=elementwise_matrix(motyka),
         requires_nonnegative=True,
         description="Share of pointwise maxima in the total mass.",
     )
@@ -166,7 +130,7 @@ KULCZYNSKI_S = register_measure(
         category="lockstep",
         family="intersection",
         func=kulczynski_s,
-        matrix_func=_kulczynski_s_matrix,
+        matrix_func=elementwise_matrix(kulczynski_s),
         requires_nonnegative=True,
         description="Reciprocal of the Kulczynski similarity.",
     )
@@ -179,7 +143,7 @@ RUZICKA = register_measure(
         category="lockstep",
         family="intersection",
         func=ruzicka,
-        matrix_func=_ruzicka_matrix,
+        matrix_func=elementwise_matrix(ruzicka),
         requires_nonnegative=True,
         description="One minus the Ruzicka (generalized Jaccard) similarity.",
     )
@@ -192,7 +156,7 @@ TANIMOTO = register_measure(
         category="lockstep",
         family="intersection",
         func=tanimoto,
-        matrix_func=_tanimoto_matrix,
+        matrix_func=elementwise_matrix(tanimoto),
         requires_nonnegative=True,
         description="Tanimoto set-difference ratio.",
     )

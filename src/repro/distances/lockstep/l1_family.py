@@ -17,78 +17,46 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import DistanceMeasure, register_measure
-from ._common import broadcast_matrix, elementwise_matrix, safe_div
+from ._common import elementwise_matrix, safe_div
 
 
-def sorensen(x: np.ndarray, y: np.ndarray) -> float:
+def sorensen(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum |x_i-y_i| \,/\, \sum (x_i+y_i)` (a.k.a. Bray-Curtis)."""
-    num = np.abs(x - y).sum()
-    den = (x + y).sum()
-    return float(safe_div(np.asarray(num), np.asarray(den)))
+    return safe_div(np.abs(x - y).sum(axis=-1), (x + y).sum(axis=-1))
 
 
-def gower(x: np.ndarray, y: np.ndarray) -> float:
+def gower(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\frac{1}{m}\sum |x_i-y_i|` — length-normalized Manhattan."""
-    return float(np.abs(x - y).mean())
+    return np.abs(x - y).mean(axis=-1)
 
 
-def soergel(x: np.ndarray, y: np.ndarray) -> float:
+def soergel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum |x_i-y_i| \,/\, \sum \max(x_i, y_i)`.
 
     One of the paper's newly surfaced winners: beats ED with statistical
     significance under MinMax normalization (Table 2).
     """
-    num = np.abs(x - y).sum()
-    den = np.maximum(x, y).sum()
-    return float(safe_div(np.asarray(num), np.asarray(den)))
+    return safe_div(np.abs(x - y).sum(axis=-1), np.maximum(x, y).sum(axis=-1))
 
 
-def kulczynski(x: np.ndarray, y: np.ndarray) -> float:
+def kulczynski(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum |x_i-y_i| \,/\, \sum \min(x_i, y_i)` (Kulczynski d)."""
-    num = np.abs(x - y).sum()
-    den = np.minimum(x, y).sum()
-    return float(safe_div(np.asarray(num), np.asarray(den)))
+    return safe_div(np.abs(x - y).sum(axis=-1), np.minimum(x, y).sum(axis=-1))
 
 
-def canberra(x: np.ndarray, y: np.ndarray) -> float:
+def canberra(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i |x_i-y_i| / (x_i + y_i)` — pointwise-weighted L1."""
-    return float(safe_div(np.abs(x - y), x + y).sum())
+    return safe_div(np.abs(x - y), x + y).sum(axis=-1)
 
 
-def lorentzian(x: np.ndarray, y: np.ndarray) -> float:
+def lorentzian(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i \ln(1 + |x_i - y_i|)`.
 
     The natural logarithm tames large pointwise deviations, which is
     exactly the robustness that makes this the best parameter-free
     lock-step measure in the paper's evaluation.
     """
-    return float(np.log1p(np.abs(x - y)).sum())
-
-
-def _lorentzian_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return broadcast_matrix(X, Y, lambda a, b: np.log1p(np.abs(a - b)).sum(axis=-1))
-
-
-def _gower_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return broadcast_matrix(X, Y, lambda a, b: np.abs(a - b).mean(axis=-1))
-
-
-_sorensen_matrix = elementwise_matrix(
-    lambda a, b: safe_div(np.abs(a - b).sum(axis=-1), (a + b).sum(axis=-1))
-)
-_soergel_matrix = elementwise_matrix(
-    lambda a, b: safe_div(
-        np.abs(a - b).sum(axis=-1), np.maximum(a, b).sum(axis=-1)
-    )
-)
-_kulczynski_matrix = elementwise_matrix(
-    lambda a, b: safe_div(
-        np.abs(a - b).sum(axis=-1), np.minimum(a, b).sum(axis=-1)
-    )
-)
-_canberra_matrix = elementwise_matrix(
-    lambda a, b: safe_div(np.abs(a - b), a + b).sum(axis=-1)
-)
+    return np.log1p(np.abs(x - y)).sum(axis=-1)
 
 
 SORENSEN = register_measure(
@@ -98,7 +66,7 @@ SORENSEN = register_measure(
         category="lockstep",
         family="l1",
         func=sorensen,
-        matrix_func=_sorensen_matrix,
+        matrix_func=elementwise_matrix(sorensen),
         requires_nonnegative=True,
         aliases=("braycurtis",),
         description="Relative L1 (Bray-Curtis).",
@@ -112,7 +80,7 @@ GOWER = register_measure(
         category="lockstep",
         family="l1",
         func=gower,
-        matrix_func=_gower_matrix,
+        matrix_func=elementwise_matrix(gower),
         description="Mean absolute deviation (Manhattan / m).",
     )
 )
@@ -124,7 +92,7 @@ SOERGEL = register_measure(
         category="lockstep",
         family="l1",
         func=soergel,
-        matrix_func=_soergel_matrix,
+        matrix_func=elementwise_matrix(soergel),
         requires_nonnegative=True,
         description="L1 over pointwise maxima; a Table 2 winner under MinMax.",
     )
@@ -137,7 +105,7 @@ KULCZYNSKI = register_measure(
         category="lockstep",
         family="l1",
         func=kulczynski,
-        matrix_func=_kulczynski_matrix,
+        matrix_func=elementwise_matrix(kulczynski),
         requires_nonnegative=True,
         aliases=("kulczynskid",),
         description="L1 over pointwise minima.",
@@ -151,7 +119,7 @@ CANBERRA = register_measure(
         category="lockstep",
         family="l1",
         func=canberra,
-        matrix_func=_canberra_matrix,
+        matrix_func=elementwise_matrix(canberra),
         requires_nonnegative=True,
         description="Pointwise-normalized L1.",
     )
@@ -164,7 +132,7 @@ LORENTZIAN = register_measure(
         category="lockstep",
         family="l1",
         func=lorentzian,
-        matrix_func=_lorentzian_matrix,
+        matrix_func=elementwise_matrix(lorentzian),
         description="Log-damped L1; the paper's new lock-step state of the art.",
     )
 )

@@ -11,20 +11,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import DistanceMeasure, ParamSpec, register_measure
-from ._common import broadcast_matrix
+from ._common import elementwise_matrix, gram_matrix, squared_gap
+from .squared_l2 import squared_euclidean
 
 
-def euclidean(x: np.ndarray, y: np.ndarray) -> float:
-    r""":math:`\sqrt{\sum_i (x_i - y_i)^2}` — the paper's ED baseline."""
-    return float(np.linalg.norm(x - y))
+def euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r""":math:`\sqrt{\sum_i (x_i - y_i)^2}` — the paper's ED baseline.
+
+    The row-wise form every served ED distance is: ``x`` may hold many
+    rows (or one row per row of ``y``), and each row's distance is one
+    pairwise-summed reduction, bitwise the same alone or in a batch.
+    """
+    return np.sqrt(squared_euclidean(x, y))
 
 
-def manhattan(x: np.ndarray, y: np.ndarray) -> float:
+def manhattan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i |x_i - y_i|` (city block, :math:`L_1`)."""
-    return float(np.abs(x - y).sum())
+    return np.abs(x - y).sum(axis=-1)
 
 
-def minkowski(x: np.ndarray, y: np.ndarray, p: float = 2.0) -> float:
+def minkowski(x: np.ndarray, y: np.ndarray, p: float = 2.0) -> np.ndarray:
     r""":math:`\left(\sum_i |x_i - y_i|^p\right)^{1/p}`.
 
     Fractional ``p`` (the paper sweeps down to 0.1) yields a non-metric but
@@ -32,40 +38,13 @@ def minkowski(x: np.ndarray, y: np.ndarray, p: float = 2.0) -> float:
     """
     diff = np.abs(x - y)
     if p == np.inf:
-        return float(diff.max())
-    return float(np.power(np.power(diff, p).sum(), 1.0 / p))
+        return diff.max(axis=-1)
+    return np.power(np.power(diff, p).sum(axis=-1), 1.0 / p)
 
 
-def chebyshev(x: np.ndarray, y: np.ndarray) -> float:
+def chebyshev(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\max_i |x_i - y_i|` (:math:`L_\infty`)."""
-    return float(np.abs(x - y).max())
-
-
-def _euclidean_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, computed without broadcasting
-    # the full (n_x, n_y, m) cube.
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(Y * Y, axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
-
-
-def _manhattan_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return broadcast_matrix(X, Y, lambda a, b: np.abs(a - b).sum(axis=-1))
-
-
-def _minkowski_matrix(X: np.ndarray, Y: np.ndarray, p: float = 2.0) -> np.ndarray:
-    if p == np.inf:
-        return _chebyshev_matrix(X, Y)
-    return broadcast_matrix(
-        X, Y, lambda a, b: np.power(np.power(np.abs(a - b), p).sum(axis=-1), 1.0 / p)
-    )
-
-
-def _chebyshev_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return broadcast_matrix(X, Y, lambda a, b: np.abs(a - b).max(axis=-1))
+    return np.abs(x - y).max(axis=-1)
 
 
 EUCLIDEAN = register_measure(
@@ -75,7 +54,7 @@ EUCLIDEAN = register_measure(
         category="lockstep",
         family="minkowski",
         func=euclidean,
-        matrix_func=_euclidean_matrix,
+        matrix_func=gram_matrix(lambda xx, yy, xy: np.sqrt(squared_gap(xx, yy, xy))),
         aliases=("ed", "l2"),
         description="Euclidean distance; the misconception-M2 baseline.",
     )
@@ -88,7 +67,7 @@ MANHATTAN = register_measure(
         category="lockstep",
         family="minkowski",
         func=manhattan,
-        matrix_func=_manhattan_matrix,
+        matrix_func=elementwise_matrix(manhattan),
         aliases=("cityblock", "l1"),
         description="City-block distance; significantly beats ED (Table 2).",
     )
@@ -101,7 +80,7 @@ MINKOWSKI = register_measure(
         category="lockstep",
         family="minkowski",
         func=minkowski,
-        matrix_func=_minkowski_matrix,
+        matrix_func=elementwise_matrix(minkowski),
         params=(
             ParamSpec(
                 name="p",
@@ -125,7 +104,7 @@ CHEBYSHEV = register_measure(
         category="lockstep",
         family="minkowski",
         func=chebyshev,
-        matrix_func=_chebyshev_matrix,
+        matrix_func=elementwise_matrix(chebyshev),
         aliases=("linf", "maximum"),
         description="Maximum pointwise deviation.",
     )

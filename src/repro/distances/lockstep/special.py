@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..._validation import EPS
+from ..._validation import guarded_divide
 from ..base import DistanceMeasure, register_measure
-from ._common import broadcast_matrix
+from ._common import elementwise_matrix, gram_matrix
+from .minkowski import euclidean
 
 
-def dissim(x: np.ndarray, y: np.ndarray) -> float:
+def dissim(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Trapezoidal approximation of :math:`\int_t \mathrm{ED}(x(t), y(t))\,dt`.
 
     .. math::
@@ -30,42 +31,27 @@ def dissim(x: np.ndarray, y: np.ndarray) -> float:
     difference.
     """
     diff = np.abs(x - y)
-    if diff.shape[0] == 1:
-        return float(diff[0])
-    return float(0.5 * (diff[:-1] + diff[1:]).sum())
+    if diff.shape[-1] == 1:
+        return diff[..., 0]
+    return 0.5 * (diff[..., :-1] + diff[..., 1:]).sum(axis=-1)
 
 
-def asd(x: np.ndarray, y: np.ndarray) -> float:
+def asd(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Adaptive scaling distance: :math:`\|x - a^\* y\|` with the
-    least-squares optimal factor :math:`a^\* = (x \cdot y) / (y \cdot y)`.
+    least-squares optimal factor :math:`a^\* = (x \cdot y) / (y \cdot y)`
+    (0 when :math:`y \cdot y <` ``EPS``).
 
     Equivalent to projecting *x* onto the span of *y* and measuring the
     residual, so it is invariant to any rescaling of *y*.
     """
-    den = float(np.dot(y, y))
-    a = float(np.dot(x, y)) / den if den >= EPS else 0.0
-    return float(np.linalg.norm(x - a * y))
+    factor = guarded_divide((x * y).sum(axis=-1), (y * y).sum(axis=-1))
+    return euclidean(x, factor[..., None] * y)
 
 
-def _dissim_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    def row_fn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = np.abs(a - b)
-        if diff.shape[-1] == 1:
-            return diff[..., 0]
-        return 0.5 * (diff[..., :-1] + diff[..., 1:]).sum(axis=-1)
-
-    return broadcast_matrix(X, Y, row_fn)
-
-
-def _asd_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    dots = X @ Y.T
-    ynorm2 = np.maximum(np.sum(Y * Y, axis=1), EPS)
-    a = dots / ynorm2[None, :]
-    xnorm2 = np.sum(X * X, axis=1)
+def _asd_form(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray) -> np.ndarray:
     # ||x - a y||^2 = ||x||^2 - 2 a (x.y) + a^2 ||y||^2, and a = (x.y)/||y||^2
-    # collapses it to ||x||^2 - (x.y)^2/||y||^2.
-    sq = xnorm2[:, None] - a * dots
-    return np.sqrt(np.maximum(sq, 0.0))
+    # collapses it to ||x||^2 - a (x.y).
+    return np.sqrt(np.maximum(xx - guarded_divide(xy, yy) * xy, 0.0))
 
 
 DISSIM = register_measure(
@@ -75,7 +61,7 @@ DISSIM = register_measure(
         category="lockstep",
         family="special",
         func=dissim,
-        matrix_func=_dissim_matrix,
+        matrix_func=elementwise_matrix(dissim),
         description="Integral-of-ED trajectory distance (smoothed L1).",
     )
 )
@@ -88,7 +74,7 @@ ASD = register_measure(
         family="special",
         func=asd,
         symmetric=False,
-        matrix_func=_asd_matrix,
+        matrix_func=gram_matrix(_asd_form),
         aliases=("adaptivescalingdistance",),
         description="ED under optimal per-pair scaling (Eq. 7 embedded).",
     )

@@ -16,86 +16,54 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import DistanceMeasure, register_measure
-from ._common import broadcast_matrix, elementwise_matrix, safe_div
+from ._common import elementwise_matrix, gram_matrix, safe_div, squared_gap
 
 
-def squared_euclidean(x: np.ndarray, y: np.ndarray) -> float:
-    r""":math:`\sum_i (x_i - y_i)^2` — ED without the root (rank-identical)."""
+def squared_euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r""":math:`\sum_i (x_i - y_i)^2` — ED without the root (rank-identical).
+
+    The difference is squared in place: over ``n`` reference rows a
+    second ``n``-row temporary per query costs page faults.
+    """
     diff = x - y
-    return float(np.dot(diff, diff))
+    diff *= diff
+    return diff.sum(axis=-1)
 
 
-def pearson_chi2(x: np.ndarray, y: np.ndarray) -> float:
+def pearson_chi2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i (x_i - y_i)^2 / y_i` (asymmetric)."""
-    return float(safe_div((x - y) ** 2, y).sum())
+    return safe_div((x - y) ** 2, y).sum(axis=-1)
 
 
-def neyman_chi2(x: np.ndarray, y: np.ndarray) -> float:
+def neyman_chi2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i (x_i - y_i)^2 / x_i` (asymmetric)."""
-    return float(safe_div((x - y) ** 2, x).sum())
+    return safe_div((x - y) ** 2, x).sum(axis=-1)
 
 
-def squared_chi2(x: np.ndarray, y: np.ndarray) -> float:
+def squared_chi2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i (x_i - y_i)^2 / (x_i + y_i)`."""
-    return float(safe_div((x - y) ** 2, x + y).sum())
+    return safe_div((x - y) ** 2, x + y).sum(axis=-1)
 
 
-def prob_symmetric_chi2(x: np.ndarray, y: np.ndarray) -> float:
+def prob_symmetric_chi2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`2 \sum_i (x_i - y_i)^2 / (x_i + y_i)`."""
-    return float(2.0 * safe_div((x - y) ** 2, x + y).sum())
+    return 2.0 * squared_chi2(x, y)
 
 
-def divergence(x: np.ndarray, y: np.ndarray) -> float:
+def divergence(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`2 \sum_i (x_i - y_i)^2 / (x_i + y_i)^2`."""
-    return float(2.0 * safe_div((x - y) ** 2, (x + y) ** 2).sum())
+    return 2.0 * safe_div((x - y) ** 2, (x + y) ** 2).sum(axis=-1)
 
 
-def clark(x: np.ndarray, y: np.ndarray) -> float:
+def clark(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sqrt{\sum_i \left(|x_i - y_i| / (x_i + y_i)\right)^2}`."""
     ratios = safe_div(np.abs(x - y), x + y)
-    return float(np.sqrt(np.dot(ratios, ratios)))
+    return np.sqrt((ratios * ratios).sum(axis=-1))
 
 
-def additive_symmetric_chi2(x: np.ndarray, y: np.ndarray) -> float:
+def additive_symmetric_chi2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r""":math:`\sum_i (x_i - y_i)^2 (x_i + y_i) / (x_i y_i)`."""
-    return float(safe_div((x - y) ** 2 * (x + y), x * y).sum())
-
-
-def _squared_euclidean_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(Y * Y, axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
-    return np.maximum(sq, 0.0)
-
-
-def _clark_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    def row_fn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ratios = safe_div(np.abs(a - b), a + b)
-        return np.sqrt((ratios * ratios).sum(axis=-1))
-
-    return broadcast_matrix(X, Y, row_fn)
-
-
-_pearson_matrix = elementwise_matrix(
-    lambda a, b: safe_div((a - b) ** 2, b).sum(axis=-1)
-)
-_neyman_matrix = elementwise_matrix(
-    lambda a, b: safe_div((a - b) ** 2, a).sum(axis=-1)
-)
-_squared_chi2_matrix = elementwise_matrix(
-    lambda a, b: safe_div((a - b) ** 2, a + b).sum(axis=-1)
-)
-_prob_symmetric_matrix = elementwise_matrix(
-    lambda a, b: 2.0 * safe_div((a - b) ** 2, a + b).sum(axis=-1)
-)
-_divergence_matrix = elementwise_matrix(
-    lambda a, b: 2.0 * safe_div((a - b) ** 2, (a + b) ** 2).sum(axis=-1)
-)
-_additive_matrix = elementwise_matrix(
-    lambda a, b: safe_div((a - b) ** 2 * (a + b), a * b).sum(axis=-1)
-)
+    return safe_div((x - y) ** 2 * (x + y), x * y).sum(axis=-1)
 
 
 SQUARED_EUCLIDEAN = register_measure(
@@ -105,7 +73,7 @@ SQUARED_EUCLIDEAN = register_measure(
         category="lockstep",
         family="squared_l2",
         func=squared_euclidean,
-        matrix_func=_squared_euclidean_matrix,
+        matrix_func=gram_matrix(squared_gap),
         aliases=("sqeuclidean",),
         description="Euclidean distance squared (1-NN rank-identical to ED).",
     )
@@ -118,7 +86,7 @@ PEARSON_CHI2 = register_measure(
         category="lockstep",
         family="squared_l2",
         func=pearson_chi2,
-        matrix_func=_pearson_matrix,
+        matrix_func=elementwise_matrix(pearson_chi2),
         requires_nonnegative=True,
         symmetric=False,
         description="Chi-square weighted by the second series.",
@@ -132,7 +100,7 @@ NEYMAN_CHI2 = register_measure(
         category="lockstep",
         family="squared_l2",
         func=neyman_chi2,
-        matrix_func=_neyman_matrix,
+        matrix_func=elementwise_matrix(neyman_chi2),
         requires_nonnegative=True,
         symmetric=False,
         description="Chi-square weighted by the first series.",
@@ -146,7 +114,7 @@ SQUARED_CHI2 = register_measure(
         category="lockstep",
         family="squared_l2",
         func=squared_chi2,
-        matrix_func=_squared_chi2_matrix,
+        matrix_func=elementwise_matrix(squared_chi2),
         requires_nonnegative=True,
         description="Symmetric chi-square.",
     )
@@ -159,7 +127,7 @@ PROB_SYMMETRIC_CHI2 = register_measure(
         category="lockstep",
         family="squared_l2",
         func=prob_symmetric_chi2,
-        matrix_func=_prob_symmetric_matrix,
+        matrix_func=elementwise_matrix(prob_symmetric_chi2),
         requires_nonnegative=True,
         description="Twice the symmetric chi-square.",
     )
@@ -172,7 +140,7 @@ DIVERGENCE = register_measure(
         category="lockstep",
         family="squared_l2",
         func=divergence,
-        matrix_func=_divergence_matrix,
+        matrix_func=elementwise_matrix(divergence),
         requires_nonnegative=True,
         description="Chi-square with squared-sum weighting.",
     )
@@ -185,7 +153,7 @@ CLARK = register_measure(
         category="lockstep",
         family="squared_l2",
         func=clark,
-        matrix_func=_clark_matrix,
+        matrix_func=elementwise_matrix(clark),
         requires_nonnegative=True,
         description="Coefficient-of-divergence root; appears in Table 2.",
     )
@@ -198,7 +166,7 @@ ADDITIVE_SYMMETRIC_CHI2 = register_measure(
         category="lockstep",
         family="squared_l2",
         func=additive_symmetric_chi2,
-        matrix_func=_additive_matrix,
+        matrix_func=elementwise_matrix(additive_symmetric_chi2),
         requires_nonnegative=True,
         description="Symmetrized Pearson + Neyman chi-square.",
     )

@@ -19,68 +19,41 @@ import numpy as np
 
 from ..base import DistanceMeasure, register_measure
 from ._common import elementwise_matrix, safe_div
+from .squared_l2 import neyman_chi2, pearson_chi2
 
 
-def vicis_wave_hedges(x: np.ndarray, y: np.ndarray) -> float:
+def vicis_wave_hedges(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Emanon1: :math:`\sum_i |x_i - y_i| / \min(x_i, y_i)`."""
-    return float(safe_div(np.abs(x - y), np.minimum(x, y)).sum())
+    return safe_div(np.abs(x - y), np.minimum(x, y)).sum(axis=-1)
 
 
-def vicis_symmetric_chi2_1(x: np.ndarray, y: np.ndarray) -> float:
+def vicis_symmetric_chi2_1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Emanon2: :math:`\sum_i (x_i - y_i)^2 / \min(x_i, y_i)^2`."""
-    return float(safe_div((x - y) ** 2, np.minimum(x, y) ** 2).sum())
+    return safe_div((x - y) ** 2, np.minimum(x, y) ** 2).sum(axis=-1)
 
 
-def vicis_symmetric_chi2_2(x: np.ndarray, y: np.ndarray) -> float:
+def vicis_symmetric_chi2_2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Emanon3: :math:`\sum_i (x_i - y_i)^2 / \min(x_i, y_i)`."""
-    return float(safe_div((x - y) ** 2, np.minimum(x, y)).sum())
+    return safe_div((x - y) ** 2, np.minimum(x, y)).sum(axis=-1)
 
 
-def vicis_symmetric_chi2_3(x: np.ndarray, y: np.ndarray) -> float:
+def vicis_symmetric_chi2_3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Emanon4: :math:`\sum_i (x_i - y_i)^2 / \max(x_i, y_i)`.
 
     The paper's newly surfaced winner: significantly outperforms ED, but
     only under MinMax normalization.
     """
-    return float(safe_div((x - y) ** 2, np.maximum(x, y)).sum())
+    return safe_div((x - y) ** 2, np.maximum(x, y)).sum(axis=-1)
 
 
-def max_symmetric_chi2(x: np.ndarray, y: np.ndarray) -> float:
+def max_symmetric_chi2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Emanon5: :math:`\max\left(\sum \frac{(x-y)^2}{x}, \sum \frac{(x-y)^2}{y}\right)`."""
-    diff2 = (x - y) ** 2
-    return float(max(safe_div(diff2, x).sum(), safe_div(diff2, y).sum()))
+    return np.maximum(neyman_chi2(x, y), pearson_chi2(x, y))
 
 
-def min_symmetric_chi2(x: np.ndarray, y: np.ndarray) -> float:
+def min_symmetric_chi2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r"""Emanon6 (extra): :math:`\min\left(\sum \frac{(x-y)^2}{x}, \sum \frac{(x-y)^2}{y}\right)`."""
-    diff2 = (x - y) ** 2
-    return float(min(safe_div(diff2, x).sum(), safe_div(diff2, y).sum()))
-
-
-_vwh_matrix = elementwise_matrix(
-    lambda a, b: safe_div(np.abs(a - b), np.minimum(a, b)).sum(axis=-1)
-)
-_vs1_matrix = elementwise_matrix(
-    lambda a, b: safe_div((a - b) ** 2, np.minimum(a, b) ** 2).sum(axis=-1)
-)
-_vs2_matrix = elementwise_matrix(
-    lambda a, b: safe_div((a - b) ** 2, np.minimum(a, b)).sum(axis=-1)
-)
-_vs3_matrix = elementwise_matrix(
-    lambda a, b: safe_div((a - b) ** 2, np.maximum(a, b)).sum(axis=-1)
-)
-_max_sym_matrix = elementwise_matrix(
-    lambda a, b: np.maximum(
-        safe_div((a - b) ** 2, a).sum(axis=-1),
-        safe_div((a - b) ** 2, b).sum(axis=-1),
-    )
-)
-_min_sym_matrix = elementwise_matrix(
-    lambda a, b: np.minimum(
-        safe_div((a - b) ** 2, a).sum(axis=-1),
-        safe_div((a - b) ** 2, b).sum(axis=-1),
-    )
-)
+    return np.minimum(neyman_chi2(x, y), pearson_chi2(x, y))
 
 
 VICIS_WAVE_HEDGES = register_measure(
@@ -90,7 +63,7 @@ VICIS_WAVE_HEDGES = register_measure(
         category="lockstep",
         family="vicissitude",
         func=vicis_wave_hedges,
-        matrix_func=_vwh_matrix,
+        matrix_func=elementwise_matrix(vicis_wave_hedges),
         requires_nonnegative=True,
         aliases=("emanon1",),
         description="Wave Hedges with min-denominator.",
@@ -104,7 +77,7 @@ VICIS_SYMMETRIC_1 = register_measure(
         category="lockstep",
         family="vicissitude",
         func=vicis_symmetric_chi2_1,
-        matrix_func=_vs1_matrix,
+        matrix_func=elementwise_matrix(vicis_symmetric_chi2_1),
         requires_nonnegative=True,
         aliases=("emanon2",),
         description="Chi-square over squared pointwise minima.",
@@ -118,7 +91,7 @@ VICIS_SYMMETRIC_2 = register_measure(
         category="lockstep",
         family="vicissitude",
         func=vicis_symmetric_chi2_2,
-        matrix_func=_vs2_matrix,
+        matrix_func=elementwise_matrix(vicis_symmetric_chi2_2),
         requires_nonnegative=True,
         aliases=("emanon3",),
         description="Chi-square over pointwise minima.",
@@ -132,7 +105,7 @@ VICIS_SYMMETRIC_3 = register_measure(
         category="lockstep",
         family="vicissitude",
         func=vicis_symmetric_chi2_3,
-        matrix_func=_vs3_matrix,
+        matrix_func=elementwise_matrix(vicis_symmetric_chi2_3),
         requires_nonnegative=True,
         aliases=("emanon4",),
         description="Chi-square over pointwise maxima; Table 2 winner (MinMax).",
@@ -146,7 +119,7 @@ MAX_SYMMETRIC_CHI2 = register_measure(
         category="lockstep",
         family="vicissitude",
         func=max_symmetric_chi2,
-        matrix_func=_max_sym_matrix,
+        matrix_func=elementwise_matrix(max_symmetric_chi2),
         requires_nonnegative=True,
         aliases=("emanon5",),
         description="Worse of Pearson and Neyman chi-square.",
@@ -160,7 +133,7 @@ MIN_SYMMETRIC_CHI2 = register_measure(
         category="extra",
         family="vicissitude",
         func=min_symmetric_chi2,
-        matrix_func=_min_sym_matrix,
+        matrix_func=elementwise_matrix(min_symmetric_chi2),
         requires_nonnegative=True,
         aliases=("emanon6",),
         description="Better of Pearson and Neyman chi-square (extra).",

@@ -24,16 +24,24 @@ From the sequence, Eq. (11) derives the 4 variants evaluated in Table 3:
 
 All four are exposed as dissimilarities. NCC_c is bounded in ``[0, 2]``;
 the other three are unbounded similarities, negated.
+
+The scalar functions are the definition. Every all-pairs path — the
+registered matrix kernels, the served sliding route and GRAIL's SBD
+landmark selection — runs one routine, :func:`reduce_shifts`, over one
+spectra type, :class:`SlidingReference` (each series' conjugated FFT and
+norm, taken once per batch or once per served reference set). Norms are
+last-axis reductions (:func:`norm`) and NCC_c's zero rule is per pair, so
+every matrix entry is bitwise the scalar function's.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from ..._validation import EPS, as_pair
+from ..._validation import as_pair, guarded_divide
 from ..base import DistanceMeasure, register_measure
 
 #: Element budget of one cross-correlation block: a block's spectrum
@@ -122,18 +130,28 @@ def ncc_u(x: np.ndarray, y: np.ndarray) -> float:
 
 def ncc_c(x: np.ndarray, y: np.ndarray) -> float:
     r"""Coefficient normalization / SBD:
-    :math:`1 - \max_w CC_w(x, y) / (\|x\| \|y\|)`.
+    :math:`1 - \max_w CC_w(x, y) / (\|x\| \|y\|)`, and 1 when
+    :math:`\|x\|\,\|y\| <` ``EPS`` (no shape to compare).
 
     The paper's strongest parameter-free baseline: beats every lock-step
     measure (Section 6) and most elastic measures in the unsupervised
     setting (Section 7).
     """
     x, y = as_pair(x, y, require_equal_length=False)
-    denom = float(np.linalg.norm(x) * np.linalg.norm(y))
-    if denom < EPS:
-        # At least one series is identically zero: no shape to compare.
-        return 1.0
-    return float(1.0 - cross_correlation(x, y).max() / denom)
+    return float(_sbd(cross_correlation(x, y), norm(x) * norm(y)))
+
+
+def norm(X: np.ndarray) -> np.ndarray:
+    """``‖x‖`` along the last axis: one pairwise-summed reduction per row,
+    so a series' norm is the same alone or in a batch (BLAS
+    ``np.linalg.norm`` does not promise that)."""
+    return np.sqrt((X * X).sum(axis=-1))
+
+
+def _sbd(cc: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """NCC_c over the last axis of shift-ordered ``cc`` given ``‖x‖‖y‖``:
+    the one zero rule, 1 where ``denom < EPS``."""
+    return 1.0 - guarded_divide(cc.max(axis=-1), denom)
 
 
 #: Alias used throughout the k-Shape literature.
@@ -152,10 +170,11 @@ def best_shift(x: np.ndarray, y: np.ndarray) -> int:
 
 
 class SlidingReference(NamedTuple):
-    """Precomputed FFT state of a fixed reference batch.
+    """Each series' conjugated spectrum and norm, taken once per batch.
 
-    Fitting this once per reference set (the serving-artifact pattern)
-    removes the reference-side FFT from every query batch while keeping
+    The state every all-pairs sliding and SINK kernel shares. Fitting it
+    once per reference set (the serving-artifact pattern) removes the
+    reference-side FFT and conjugate from every query batch while keeping
     the arithmetic — and therefore the float results — identical to the
     one-shot matrix path, which builds the same structure internally.
     """
@@ -163,7 +182,12 @@ class SlidingReference(NamedTuple):
     length: int
     nfft: int
     fft_conj: np.ndarray  #: ``conj(rfft(Y, nfft, axis=1))``, shape (n, nfft//2+1)
-    norms: np.ndarray  #: per-row L2 norms clamped to ``EPS``, shape (n,)
+    norms: np.ndarray  #: :func:`norm` of each row, shape (n,)
+
+    def take(self, index: int | np.ndarray) -> "SlidingReference":
+        """The spectra of the series at ``index`` (an int or index array)."""
+        index = np.atleast_1d(index)
+        return self._replace(fft_conj=self.fft_conj[index], norms=self.norms[index])
 
 
 def sliding_reference(Y: np.ndarray) -> SlidingReference:
@@ -171,12 +195,7 @@ def sliding_reference(Y: np.ndarray) -> SlidingReference:
     Y = np.asarray(Y, dtype=np.float64)
     m = Y.shape[1]
     nfft = next_fast_len(2 * m - 1, real=True)
-    return SlidingReference(
-        length=m,
-        nfft=nfft,
-        fft_conj=np.conj(rfft(Y, nfft, axis=1)),
-        norms=np.maximum(np.linalg.norm(Y, axis=1), EPS),
-    )
+    return SlidingReference(m, nfft, np.conj(rfft(Y, nfft, axis=1)), norm(Y))
 
 
 def shift_order(cc: np.ndarray, m: int) -> np.ndarray:
@@ -216,63 +235,66 @@ def cc_blocks(
             yield rows, cols, shift_order(cc, m)
 
 
+def reduce_shifts(
+    X: np.ndarray | SlidingReference,
+    reference: SlidingReference,
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """The one all-pairs routine of the sliding and SINK kernels.
+
+    ``reduce(cc, denom)`` collapses the shift axis of each
+    :func:`cc_blocks` block of cross-correlations ``cc`` ``(block rows,
+    block columns, 2m - 1)`` given the matching ``‖x‖‖y‖`` products. The
+    rows are the series ``X`` (FFT'd here) or, when a caller reduces the
+    same rows against many references, their :class:`SlidingReference`.
+    """
+    if isinstance(X, SlidingReference):
+        m, fx, norms = X.length, np.conj(X.fft_conj), X.norms
+    else:
+        X = np.asarray(X, dtype=np.float64)
+        m, fx, norms = X.shape[1], rfft(X, reference.nfft, axis=1), norm(X)
+    if m != reference.length:
+        raise ValueError(
+            f"query length {m} != reference length {reference.length}"
+        )
+    out = np.empty((fx.shape[0], reference.fft_conj.shape[0]), dtype=np.float64)
+    for rows, cols, cc in cc_blocks(fx, reference.fft_conj, reference.nfft, m):
+        out[rows, cols] = reduce(cc, norms[rows, None] * reference.norms[None, cols])
+    return out
+
+
 def cc_max_from_reference(
     X: np.ndarray,
     reference: SlidingReference,
     divisor: str = "none",
 ) -> np.ndarray:
-    """Max cross-correlation of every row of ``X`` against a reference.
-
-    The core of every sliding matrix kernel: FFT the queries, run
-    :func:`cc_blocks` against the precomputed conjugated reference FFTs and
-    take the per-pair maximum (optionally dividing by the unbiased overlap
-    counts first).
-    """
-    X = np.asarray(X, dtype=np.float64)
-    m = X.shape[1]
-    if m != reference.length:
-        raise ValueError(
-            f"query length {m} != reference length {reference.length}"
-        )
-    fx = rfft(X, reference.nfft, axis=1)
-    counts = _shift_counts(m) if divisor == "unbiased" else None
-    out = np.empty((X.shape[0], reference.fft_conj.shape[0]), dtype=np.float64)
-    for rows, cols, cc in cc_blocks(fx, reference.fft_conj, reference.nfft, m):
-        if counts is not None:
-            cc = cc / counts
-        out[rows, cols] = cc.max(axis=2)
-    return out
-
-
-def _cc_matrix_max(X: np.ndarray, Y: np.ndarray, divisor: str) -> np.ndarray:
-    """Max cross-correlation for all pairs, batched over FFTs."""
-    return cc_max_from_reference(X, sliding_reference(Y), divisor)
+    """Max cross-correlation of every row of ``X`` against a reference,
+    optionally divided by the unbiased overlap counts first."""
+    if divisor == "unbiased":
+        counts = _shift_counts(reference.length)
+        return reduce_shifts(X, reference, lambda cc, _: (cc / counts).max(axis=-1))
+    return reduce_shifts(X, reference, lambda cc, _: cc.max(axis=-1))
 
 
 def ncc_c_matrix_from_reference(
-    X: np.ndarray, reference: SlidingReference
+    X: np.ndarray | SlidingReference, reference: SlidingReference
 ) -> np.ndarray:
-    """NCC_c (SBD) dissimilarity of every row of ``X`` vs a reference.
-
-    Exactly the registered ``nccc`` matrix kernel with the reference-side
-    FFTs and norms taken from ``reference`` instead of recomputed.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    norms_x = np.maximum(np.linalg.norm(X, axis=1), EPS)
-    maxima = cc_max_from_reference(X, reference, "none")
-    return 1.0 - maxima / (norms_x[:, None] * reference.norms[None, :])
+    """NCC_c (SBD) of every row of ``X`` against a reference: the
+    registered ``nccc`` matrix kernel, the served NCC_c route and GRAIL's
+    landmark selection, bitwise :func:`ncc_c` pair by pair."""
+    return reduce_shifts(X, reference, _sbd)
 
 
 def _ncc_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return -_cc_matrix_max(X, Y, "none")
+    return -cc_max_from_reference(X, sliding_reference(Y))
 
 
 def _ncc_b_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return -_cc_matrix_max(X, Y, "none") / X.shape[1]
+    return -cc_max_from_reference(X, sliding_reference(Y)) / X.shape[1]
 
 
 def _ncc_u_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return -_cc_matrix_max(X, Y, "unbiased")
+    return -cc_max_from_reference(X, sliding_reference(Y), "unbiased")
 
 
 def _ncc_c_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

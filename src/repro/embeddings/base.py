@@ -21,6 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .._validation import as_dataset
+from ..distances.lockstep.minkowski import EUCLIDEAN
 from ..exceptions import EvaluationError, UnknownMeasureError
 
 #: Representation length used across the paper's Table 7 ("for fairness").
@@ -83,9 +84,8 @@ class Embedding(ABC):
         self.fit(train_X)
         z_train = self.transform(train_X)
         z_test = self.transform(test_X)
-        return _euclidean_matrix(z_train, z_train), _euclidean_matrix(
-            z_test, z_train
-        )
+        ed = EUCLIDEAN.matrix_func
+        return ed(z_train, z_train), ed(z_test, z_train)
 
     def _rng(self) -> np.random.Generator:
         """Deterministic generator derived from ``random_state``."""
@@ -94,15 +94,6 @@ class Embedding(ABC):
     def _effective_dims(self, *limits: int) -> int:
         """Representation size honoring data-imposed caps."""
         return max(1, min(self.dimensions, *limits))
-
-
-def _euclidean_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
 
 
 _REGISTRY: dict[str, type[Embedding]] = {}

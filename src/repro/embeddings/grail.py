@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distances.kernels.sink import (
-    SeriesSpectra,
-    sbd_matrix,
-    series_spectra,
-    sink_similarity_matrix,
+from ..distances.kernels.sink import sink_similarity_matrix
+from ..distances.sliding.cross_correlation import (
+    SlidingReference,
+    ncc_c_matrix_from_reference,
+    sliding_reference,
 )
 from .base import Embedding, register_embedding
 
@@ -40,12 +40,12 @@ def select_landmarks_sbd(
     """
     n = X.shape[0]
     k = min(k, n)
-    spectra = series_spectra(X)
+    spectra = sliding_reference(X)
 
-    def sbd_to(target: SeriesSpectra) -> np.ndarray:
-        return sbd_matrix(spectra, target)[:, 0]
+    def sbd_to(target: SlidingReference) -> np.ndarray:
+        return ncc_c_matrix_from_reference(spectra, target)[:, 0]
 
-    first = int(np.argmin(sbd_to(series_spectra(X.mean(axis=0)[None, :]))))
+    first = int(np.argmin(sbd_to(sliding_reference(X.mean(axis=0)[None, :]))))
     chosen = [first]
     min_dist = sbd_to(spectra.take(first))
     while len(chosen) < k:
@@ -90,7 +90,7 @@ class GRAIL(Embedding):
         self._projection: np.ndarray | None = None
 
     def _kernel_matrix(self, landmarks: np.ndarray, gamma: float) -> np.ndarray:
-        spectra = series_spectra(landmarks)
+        spectra = sliding_reference(landmarks)
         # sim[j, i] can differ from sim[i, j] in the last bit: mirror the
         # upper triangle so the kernel is exactly symmetric, diagonal 1.
         upper = np.triu(sink_similarity_matrix(spectra, spectra, gamma), 1)
@@ -145,8 +145,8 @@ class GRAIL(Embedding):
         assert self._landmark_series is not None and self._projection is not None
         assert self.fitted_gamma_ is not None
         sims = sink_similarity_matrix(
-            series_spectra(X),
-            series_spectra(self._landmark_series),
+            sliding_reference(X),
+            sliding_reference(self._landmark_series),
             self.fitted_gamma_,
         )
         return sims @ self._projection

@@ -148,9 +148,7 @@ class MeasureVariant:
             z_train = embedding.transform(dataset.train_X)
         start = time.perf_counter()
         z_test = embedding.transform(dataset.test_X)
-        from ..embeddings.base import _euclidean_matrix
-
-        E = _euclidean_matrix(z_test, z_train)
+        E = get_measure("euclidean").matrix_func(z_test, z_train)
         accuracy = one_nn_accuracy(E, dataset.test_y, dataset.train_y)
         elapsed = time.perf_counter() - start
         bus.emit_span(

@@ -27,10 +27,11 @@ from typing import Mapping
 import numpy as np
 
 from ..distances.base import get_measure
+from ..distances.lockstep.minkowski import euclidean
 from ..embeddings.grail import GRAIL
 from ..embeddings.spiral import SPIRAL
 from ..exceptions import IndexBuildError
-from .base import ReferenceIndex, TopK, euclidean_refine, register_index
+from .base import ReferenceIndex, TopK, register_index
 
 #: Default embedding width — much smaller than the paper's Table-7
 #: representation length (100): the index only needs candidate ranking,
@@ -154,7 +155,7 @@ class _EmbeddingANNIndex(ReferenceIndex):
         ``exclude`` drops one reference row (the recall self-queries).
         """
         eq = self._embedding.transform(q[None, :])[0]
-        emb_d = euclidean_refine(self._embeddings, slice(None), eq)
+        emb_d = euclidean(self._embeddings, eq)
         if exclude is not None:
             emb_d[exclude] = np.inf
         shortlist = np.argsort(emb_d, kind="stable")[: self.rerank]

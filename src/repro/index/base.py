@@ -47,6 +47,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..distances.lockstep.minkowski import euclidean
 from ..exceptions import IndexBuildError, ValidationError
 
 #: Relative safety margin applied to every lower bound before it is
@@ -75,23 +76,6 @@ def resolve_kind(kind: str, measure: str) -> str:
     if measure == "euclidean" and kind in RETIRED_ED_KINDS:
         return ED_SCAN
     return kind
-
-
-def euclidean_refine(X: np.ndarray, rows, q: np.ndarray) -> np.ndarray:
-    """Exact ED of ``q`` against ``X[rows]`` via a row-stable reduction.
-
-    ``((X[rows] - q) ** 2).sum(axis=1)`` reduces each row independently
-    (numpy's pairwise summation depends only on the row length), so the
-    distance computed for a row is bit-identical whether it is refined
-    alone, in a chunk, or in the full ``prune=False`` scan — unlike the
-    BLAS gemm trick, whose blocking changes with the batch shape. ``q``
-    is one query, or one query row per entry of ``rows``. The
-    difference is squared in place: over all ``n`` rows a second
-    ``n``-row temporary per query costs page faults.
-    """
-    diff = X[rows] - q
-    diff *= diff
-    return np.sqrt(diff.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -317,7 +301,7 @@ class ReferenceIndex(ABC):
         best_d = np.empty(0, dtype=np.float64)
         chunk = max(1, REFINE_BUDGET // self.series_length)
         for pos in range(0, self.n, chunk):
-            d = euclidean_refine(self._X, slice(pos, pos + chunk), q)
+            d = euclidean(self._X[pos : pos + chunk], q)
             rows = np.arange(pos, pos + d.shape[0])
             if best_d.shape[0] == k:
                 # An equal distance loses to the held, lower index.

@@ -10,9 +10,9 @@ search facade, ``/predict`` — is answered here, in four steps:
    row it orders references like the squared distance;
 3. a reference survives when its screen value is within a certified
    rounding slack of the row's ``k``-th smallest screen value;
-4. the survivors are refined with the row-wise
-   :func:`~repro.index.base.euclidean_refine` and the top ``k`` are
-   selected by stable ``(distance, index)`` order.
+4. the survivors are refined with the row-wise ED definition,
+   :func:`~repro.distances.lockstep.minkowski.euclidean`, and the top
+   ``k`` are selected by stable ``(distance, index)`` order.
 
 The distances are therefore the row-wise ``sqrt(sum((x − q)²))``, bitwise
 — the arithmetic of the ``prune=False`` scan — whatever BLAS's blocking
@@ -65,12 +65,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..distances.lockstep.minkowski import euclidean
 from .base import (
     ED_SCAN,
     REFINE_BUDGET,
     IndexSearchStats,
     ReferenceIndex,
-    euclidean_refine,
     register_index,
 )
 
@@ -171,5 +171,5 @@ class EuclideanScan(ReferenceIndex):
         chunk = max(1, REFINE_BUDGET // self.series_length)
         for lo in range(0, cols.shape[0], chunk):
             hi = lo + chunk
-            out[lo:hi] = euclidean_refine(self._X, cols[lo:hi], Q[rows[lo:hi]])
+            out[lo:hi] = euclidean(self._X[cols[lo:hi]], Q[rows[lo:hi]])
         return out

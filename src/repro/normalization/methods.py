@@ -23,20 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import EPS, as_series
+from .._validation import EPS, as_series, guarded_divide
 from ..exceptions import ValidationError
 from .base import Normalizer, register_normalizer
 
 
-def _guarded_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """``num / den``, and 0 wherever ``den < EPS`` (a constant or zero
-    row), without ever dividing by such a denominator."""
-    out = np.zeros(np.broadcast_shapes(np.shape(num), np.shape(den)))
-    return np.divide(num, den, out=out, where=~(den < EPS))
-
-
 def _zscore(X: np.ndarray) -> np.ndarray:
-    return _guarded_divide(
+    return guarded_divide(
         X - X.mean(axis=-1, keepdims=True), X.std(axis=-1, keepdims=True)
     )
 
@@ -49,7 +42,7 @@ def zscore(x: np.ndarray) -> np.ndarray:
 def _minmax(X: np.ndarray, low: float = 0.0, high: float = 1.0) -> np.ndarray:
     lo = X.min(axis=-1, keepdims=True)
     span = X.max(axis=-1, keepdims=True) - lo
-    scaled = _guarded_divide(X - lo, span)
+    scaled = guarded_divide(X - lo, span)
     return np.where(span < EPS, (low + high) / 2.0, low + scaled * (high - low))
 
 
@@ -63,7 +56,7 @@ def minmax(x: np.ndarray, low: float = 0.0, high: float = 1.0) -> np.ndarray:
 
 def _mean_norm(X: np.ndarray) -> np.ndarray:
     span = X.max(axis=-1, keepdims=True) - X.min(axis=-1, keepdims=True)
-    return _guarded_divide(X - X.mean(axis=-1, keepdims=True), span)
+    return guarded_divide(X - X.mean(axis=-1, keepdims=True), span)
 
 
 def mean_norm(x: np.ndarray) -> np.ndarray:
@@ -99,7 +92,7 @@ def _sum_of_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _unit_length(X: np.ndarray) -> np.ndarray:
-    return _guarded_divide(X, np.sqrt(_sum_of_products(X, X))[..., None])
+    return guarded_divide(X, np.sqrt(_sum_of_products(X, X))[..., None])
 
 
 def unit_length(x: np.ndarray) -> np.ndarray:
@@ -115,7 +108,7 @@ def _adaptive_factors(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
             f"equal length, got {x.shape[-1]} and {Y.shape[-1]}; resample "
             "first (repro.datasets.preprocessing)"
         )
-    return _guarded_divide(_sum_of_products(x, Y), _sum_of_products(Y, Y))
+    return guarded_divide(_sum_of_products(x, Y), _sum_of_products(Y, Y))
 
 
 def adaptive_scaling_factor(x: np.ndarray, y: np.ndarray) -> float:

@@ -11,15 +11,18 @@ fastest:
   measure's vectorized ``pairwise`` matrix kernel followed by a stable
   argsort, so ties break toward the lowest reference index exactly as
   the offline :func:`repro.one_nn_predict` (paper Algorithm 1) does;
-- **sliding** measures (the NCC family) reuse conjugated reference FFTs
-  via :func:`~repro.distances.sliding.cc_max_from_reference` — the
-  identical arithmetic the registered matrix kernels run, minus the
-  reference-side FFT on every batch;
+- **sliding** measures (the NCC family) reuse the reference set's
+  conjugated FFTs and norms (one
+  :class:`~repro.distances.sliding.SlidingReference`) via
+  :func:`~repro.distances.sliding.ncc_c_matrix_from_reference` and
+  :func:`~repro.distances.sliding.cc_max_from_reference` — the routines
+  the registered matrix kernels run, minus the reference-side FFT on
+  every batch, so each distance is bitwise the scalar measure's;
 - **Euclidean** goes through the exact ``ed_scan`` kernel
   (:mod:`repro.index.scan`): a cached-norm GEMM screen with a certified
-  rounding slack, then the row-wise distance for the survivors, so it
-  serves the row-wise ``sqrt(sum((x - q)^2))``, not ``pairwise``'s
-  expanded form (the two differ by ~1e-13);
+  rounding slack, then ED's row-wise definition for the survivors, so
+  every served distance is bitwise ``repro.distance(q, x, "ed")``, not
+  ``pairwise``'s Gram form (the two differ by ~1e-13);
 - **banded DTW** goes through an exact ``paa_lb`` index at full
   resolution (one frame per sample, where LB_PAA is exactly LB_Keogh)
   when no exact index was fitted: the UCR-suite LB_Keogh ->
@@ -269,11 +272,9 @@ class ReferenceSearch:
         return None, True  # no index: exact == brute == full scan
 
     def _sliding_matrix(self, Q: np.ndarray) -> np.ndarray:
-        """Dissimilarity matrix via the reference FFTs.
-
-        Mirrors the registered sliding matrix kernels term by term so
-        the serving path and ``measure.pairwise`` agree bitwise.
-        """
+        """Dissimilarity matrix via the reference FFTs: the registered
+        sliding matrix kernels with the reference built once, so the
+        serving path and ``measure.pairwise`` agree bitwise."""
         name = self.measure.name
         if name == "nccc":
             return ncc_c_matrix_from_reference(Q, self._reference)

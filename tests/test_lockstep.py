@@ -1,5 +1,7 @@
 """Unit tests for the 52 lock-step measures (paper Section 5)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,18 @@ from repro.distances.lockstep import (
     squared_euclidean,
     topsoe,
 )
+from repro.distances.lockstep import _common
 from repro.distances.lockstep.special import asd
 from repro.exceptions import ParameterError, UnknownMeasureError
+from repro.index.scan import screen_slack
+
+#: The six measures whose matrices come from one GEMM (``gram_matrix``).
+GRAM_SIX = ("euclidean", "squaredeuclidean", "rbf", "innerproduct", "cosine", "asd")
+#: Every measure whose matrix is ``elementwise_matrix`` of its ``f`` or,
+#: for NCC_c and SINK, the one sliding block routine.
+ONE_DEFINITION = [
+    n for n in list_measures("lockstep") if n not in GRAM_SIX
+] + ["minsymmetricchi2", "cid", "nccc", "sink"]
 
 
 class TestCensus:
@@ -238,16 +250,167 @@ class TestGenericContracts:
         measure = get_measure(name)
         assert measure(x, y) == pytest.approx(measure(y, x), rel=1e-9)
 
-    @pytest.mark.parametrize("name", list_measures("lockstep"))
-    def test_matrix_matches_scalar_loop(self, name, rng):
-        """The vectorized matrix_func (when present) must agree with the
-        scalar function pair by pair."""
+    @pytest.mark.parametrize("name", ONE_DEFINITION + list(GRAM_SIX))
+    def test_matrix_matches_scalar_loop(self, name, parity_cases):
+        """``pairwise`` is ``m(x, y)`` pair by pair: bitwise for every
+        measure defined once, and within the Gram bound for the Gram six
+        — self and rectangular, on signed, positive and near-zero-norm
+        batches."""
         measure = get_measure(name)
-        X = rng.uniform(0.1, 1.0, size=(4, 12))
-        Y = rng.uniform(0.1, 1.0, size=(3, 12))
-        matrix = measure.pairwise(X, Y)
-        for i in range(4):
-            for j in range(3):
-                assert matrix[i, j] == pytest.approx(
-                    measure(X[i], Y[j]), rel=1e-7, abs=1e-9
-                ), name
+        for case, X in parity_cases.items():
+            half = X.shape[0] // 2
+            for A, B in ((X, None), (X[: half + 1], X[half:])):
+                got = measure.pairwise(A, B)
+                B = A if B is None else B
+                want = np.array([[measure(a, b) for b in B] for a in A])
+                if name in GRAM_SIX:
+                    assert_within_gram_bound(name, got, want, A, B, case)
+                else:
+                    np.testing.assert_array_equal(got, want, err_msg=case)
+
+
+@pytest.fixture(scope="module")
+def parity_cases(adversarial_batches):
+    """Every ``adversarial_batches`` case, a positive batch, and rows of
+    near-zero norm: scaled by 1e-7 and 1e-13, and a zero row."""
+    gen = np.random.default_rng(31)
+    near_zero = gen.normal(size=(8, 24))
+    near_zero[[1, 5]] *= 1e-7
+    near_zero[[2, 6]] *= 1e-13
+    near_zero[3] = 0.0
+    return {
+        **adversarial_batches,
+        "positive": gen.uniform(0.1, 1.0, size=(9, 24)),
+        "near_zero_norms": near_zero,
+    }
+
+
+def gram_bound(name, A, B, gamma=2.0):
+    """Largest |Gram − f| the Gram six may show, in squared space.
+
+    The GEMM and the row-wise ``f`` sum the same ``m`` products in
+    different orders, so each inner product is within ``γₘ Σ|xᵢyᵢ|`` of
+    the other; ``index/scan.py`` bounds the squared-distance form by
+    ``screen_slack(m, ‖x‖² + ‖y‖²)`` the same way. Cosine shares the
+    norms and divides by ``‖x‖‖y‖ ≥ Σ|xᵢyᵢ|`` (weight 1); ASD's residual
+    ``‖x‖² − ⟨x, y⟩²/‖y‖²`` is within the same slack of weight ``‖x‖²``.
+    """
+    xx = np.sum(A * A, axis=1)[:, None]
+    yy = np.sum(B * B, axis=1)[None, :]
+    weight = {"cosine": 1.0, "asd": xx, "rbf": gamma * (xx + yy)}.get(name, xx + yy)
+    return screen_slack(A.shape[1], weight)
+
+
+def assert_within_gram_bound(name, got, want, A, B, case=""):
+    """Gram matrix ``got`` against the scalar ``want`` (squared space for
+    the two root forms). Where the scalar's zero rule fires, a Gram form
+    that clamps its denominator instead misses by orders of magnitude."""
+    if name in ("euclidean", "asd"):
+        got, want = got * got, want * want
+    gap = np.abs(got - want)
+    bound = gram_bound(name, A, B)
+    assert (gap <= bound).all(), (case, float((gap / bound).max()))
+
+
+#: Measures whose reference-tier matrix is still one Python call per
+#: pair; the symmetry check truncates their batches.
+PER_PAIR_PYTHON = {"ddtw", "wdtw", "gak", "kdtw"}
+#: Measures defined once as a last-axis reduction (``elementwise_matrix``).
+ELEMENTWISE = [n for n in ONE_DEFINITION if n not in ("nccc", "sink")]
+
+
+class TestDeclaredSymmetryAcrossRegistry:
+    """``symmetric=True`` is relied on, not assumed: k-medoids skips
+    symmetrizing a symmetric measure's W. Every registered symmetric
+    measure's ``pairwise(A, A.copy())`` equals its transpose — bitwise
+    for the measures defined once as a last-axis reduction, within twice
+    the Gram bound for the Gram forms, and within 1e-9 relative (1e-12
+    absolute near 0) for the FFT and DP kernels, whose two orientations
+    round differently."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            pytest.param(
+                m.name,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="GAK rescales a DP row by its maximum, so cells far "
+                    "below it underflow to 0; in one orientation the final "
+                    "cell does: d(x, y) finite, d(y, x) inf",
+                ),
+            )
+            if m.name == "gak"
+            else m.name
+            for m in iter_measures()
+            if m.symmetric
+        ],
+    )
+    def test_matrix_equals_its_transpose(self, name, parity_cases):
+        measure = get_measure(name)
+        for case, X in parity_cases.items():
+            if name in PER_PAIR_PYTHON:
+                X = X[:5]
+            W = measure.pairwise(X, X.copy())
+            if name in ELEMENTWISE:
+                np.testing.assert_array_equal(W, W.T, err_msg=case)
+            elif name in GRAM_SIX:
+                gap = np.abs(W - W.T)
+                assert (gap <= 2 * gram_bound(name, X, X)).all(), case
+            else:
+                np.testing.assert_allclose(
+                    W, W.T, rtol=1e-9, atol=1e-12, err_msg=case
+                )
+
+    def test_jeffreys_is_symmetric_where_the_clip_bites(self, sine_pair):
+        """Z-scored series are clipped to the nonnegative floor; a floored
+        ratio made d(x, y) and d(y, x) differ by percents."""
+        x, y = sine_pair
+        jeffreys = get_measure("jeffreys")
+        assert jeffreys(x, y) == jeffreys(y, x)
+
+
+class TestBroadcastBlocks:
+    """``elementwise_matrix`` blocks rows and columns under one element
+    budget; every entry is still ``f`` on one pair."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [("lorentzian", {}), ("minkowski", {"p": 0.5}), ("jaccard", {}), ("cid", {})],
+    )
+    def test_blocked_equals_one_block(
+        self, name, params, adversarial_batches, monkeypatch
+    ):
+        X = adversarial_batches["more_rows_than_one_block"]
+        measure = get_measure(name)
+
+        def results():
+            return measure.pairwise(X, **params), measure.pairwise(X[:7], X, **params)
+
+        assert 40 * 40 * 24 <= _common.BROADCAST_BUDGET  # one block each
+        whole = results()
+        np.testing.assert_array_equal(
+            whole[0], [[measure(a, b, **params) for b in X] for a in X]
+        )
+        # Whole rows per block, then part-rows down to one pair a block.
+        for budget in (3 * 40 * 24, 15 * 24, 24, 1):
+            monkeypatch.setattr(_common, "BROADCAST_BUDGET", budget)
+            for got, want in zip(results(), whole):
+                np.testing.assert_array_equal(got, want, err_msg=str(budget))
+
+    def test_peak_memory_is_bounded(self):
+        """4 queries against 2e4 references (m = 128): one broadcast over
+        all references peaked at 157 MiB. A block's temporaries hold at
+        most BROADCAST_BUDGET values each, so the peak stays under four
+        budgets' worth of float64 values plus the output (≈2.6 MiB)."""
+        gen = np.random.default_rng(0)
+        Q, X = gen.normal(size=(4, 128)), gen.normal(size=(20000, 128))
+        matrix_func = get_measure("lorentzian").matrix_func
+        tracemalloc.start()
+        try:
+            out = matrix_func(Q, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4, 20000)
+        assert peak < 4 * _common.BROADCAST_BUDGET * 8 + out.nbytes

@@ -281,6 +281,40 @@ class TestParentFormatArtifacts:
             ModelArtifact.load(path)
 
 
+class TestServedDistancesAreTheDefinition:
+    """Every served NCC_c and ED distance is the scalar measure's, bitwise,
+    also for references and queries of near-zero norm (scaled by 1e-7 and
+    1e-13, and zero), where NCC_c's zero rule decides."""
+
+    @pytest.fixture(scope="class")
+    def near_zero(self):
+        gen = np.random.default_rng(31)
+        X = gen.normal(size=(8, 24))
+        X[[1, 5]] *= 1e-7
+        X[[2, 6]] *= 1e-13
+        X[3] = 0.0
+        Q = np.vstack([gen.normal(size=(2, 24)), 0.5 * X[[1, 2, 3, 6]]])
+        return X, Q
+
+    @pytest.mark.parametrize("measure", ["nccc", "euclidean"])
+    def test_search_answers_the_scalar_measure(self, near_zero, measure):
+        X, Q = near_zero
+        engine = QueryEngine(
+            ModelArtifact.fit(X, np.arange(8) % 2, measure=measure),
+            cache_size=0,
+        )
+        m = get_measure(measure)
+        want = np.array([[m(q, x) for x in X] for q in Q])
+        order = np.argsort(want, axis=1, kind="stable")
+        for mode in ("exact", "brute"):
+            got = engine.search(Q, k=X.shape[0], mode=mode)
+            np.testing.assert_array_equal(got.indices, order, err_msg=mode)
+            np.testing.assert_array_equal(
+                got.distances, np.take_along_axis(want, order, axis=1),
+                err_msg=mode,
+            )
+
+
 class TestQueryEngine:
     @pytest.mark.parametrize("measure,norm,params", FAMILY_CASES)
     def test_online_equals_offline_bitwise(
