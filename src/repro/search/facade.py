@@ -40,7 +40,7 @@ from .._validation import as_dataset, as_series
 from ..distances.base import get_measure
 from ..exceptions import ValidationError
 from ..index.base import IndexSearchStats
-from .mass import top_k_matches
+from .mass import mass, profile_rows, profile_top_k
 from .matrix_profile import matrix_profile
 
 _DOMAINS = ("whole", "subsequence", "profile")
@@ -80,9 +80,15 @@ class NeighborResult:
 def _subsequence(
     queries: np.ndarray, series: np.ndarray, *, k: int, exclusion: int | None
 ) -> NeighborResult:
-    """Top-k non-overlapping z-normalized ED matches via MASS."""
+    """Top-k non-overlapping z-normalized ED matches via MASS, one
+    :func:`~repro.search.mass.mass` block per row block of queries."""
+    q = queries.shape[1]
+    radius = exclusion if exclusion is not None else max(1, q // 2)
+    rows = profile_rows(series.shape[0], q)
     hits_per_query = [
-        top_k_matches(q, series, k=k, exclusion=exclusion) for q in queries
+        profile_top_k(profile, k=k, radius=radius)
+        for start in range(0, queries.shape[0], rows)
+        for profile in mass(queries[start : start + rows], series)
     ]
     found = min(len(hits) for hits in hits_per_query)
     if found < k:
@@ -173,7 +179,7 @@ def nearest_neighbors(
         raise ValidationError(f"domain={domain!r} requires references")
     if domain == "subsequence":
         series = as_series(references, "references")
-        batch = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        batch = as_dataset(queries, "queries")
         return _subsequence(batch, series, k=k, exclusion=exclusion)
     from ..index import build_index
     from ..serving.engine import ReferenceSearch

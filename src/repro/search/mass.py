@@ -22,8 +22,40 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .._validation import EPS, as_series
+from .._validation import EPS, as_dataset, as_series
 from ..exceptions import ValidationError
+
+
+#: Values one MASS block holds per FFT buffer: a block of query rows
+#: over a length-``n`` series takes ``PROFILE_BUDGET // nfft`` rows (see
+#: :func:`profile_rows`), so its spectra, its ``irfft`` output and its
+#: distance rows stay cache-sized however long the series grows.
+PROFILE_BUDGET = 1 << 16
+
+
+def profile_rows(n: int, q: int) -> int:
+    """Query rows per :func:`mass` block over a length-``n`` series.
+
+    ``q`` is the query length; the FFT length is the one
+    :func:`sliding_dot_product` uses. At least one row.
+    """
+    return max(1, PROFILE_BUDGET // next_fast_len(n + q - 1, real=True))
+
+
+def _sliding_dots(block: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """``QT`` rows of a ``(B, q)`` query block, as a ``(B, n - q + 1)``
+    view of one batched ``irfft`` output (one ``rfft`` of *series*, one
+    batched ``rfft`` of the reversed rows)."""
+    q, n = block.shape[1], series.shape[0]
+    if q > n:
+        raise ValidationError(
+            f"query (length {q}) longer than series (length {n})"
+        )
+    nfft = next_fast_len(n + q - 1, real=True)
+    spectra = rfft(block[:, ::-1], nfft, axis=-1)
+    np.multiply(rfft(series, nfft), spectra, out=spectra)
+    # Convolution with the reversed query aligns index q-1+i with QT[i].
+    return irfft(spectra, nfft, axis=-1)[:, q - 1 : n]
 
 
 def sliding_dot_product(query: np.ndarray, series: np.ndarray) -> np.ndarray:
@@ -34,15 +66,7 @@ def sliding_dot_product(query: np.ndarray, series: np.ndarray) -> np.ndarray:
     """
     query = as_series(query, "query")
     series = as_series(series, "series")
-    q, n = query.shape[0], series.shape[0]
-    if q > n:
-        raise ValidationError(
-            f"query (length {q}) longer than series (length {n})"
-        )
-    nfft = next_fast_len(n + q - 1, real=True)
-    conv = irfft(rfft(series, nfft) * rfft(query[::-1], nfft), nfft)
-    # Convolution with the reversed query aligns index q-1+i with QT[i].
-    return conv[q - 1 : n]
+    return _sliding_dots(query[None, :], series)[0]
 
 
 def clamped_window_stats(sums, sums2, window: int):
@@ -90,6 +114,15 @@ def mass(
 ) -> np.ndarray:
     """Z-normalized ED distance profile of *query* over *series*.
 
+    A 1-D *query* of length ``q`` returns the 1-D profile of its
+    ``n - q + 1`` subsequence distances. A 2-D *query* is always a
+    ``(B, q)`` block of queries — ``B = 1`` included, so a ``(1, q)``
+    array is one query and a ``(q, 1)`` array is ``q`` length-1 queries —
+    and returns the ``(B, n - q + 1)`` profiles, one per row. The block
+    shares one ``rfft`` of *series*, one batched ``rfft`` and one batched
+    ``irfft``; each row is bitwise the 1-D call on that row. Callers
+    keep ``B`` at most :func:`profile_rows` to keep the block cache-sized.
+
     Flat (constant) subsequences have no shape: against a non-constant
     query they sit at the theoretical maximum ``sqrt(2q)``; a constant
     query matches them at distance 0.
@@ -101,11 +134,14 @@ def mass(
     statistics per point — skip the O(n) recomputation; the arithmetic
     downstream is identical either way.
     """
-    query = as_series(query, "query")
     series = as_series(series, "series")
-    q = query.shape[0]
-    sigma_q = float(query.std())
-    mu_q = float(query.mean())
+    single = np.ndim(query) != 2
+    block = (
+        as_series(query, "query")[None, :]
+        if single
+        else as_dataset(query, "query")
+    )
+    q = block.shape[1]
     if stats is None:
         means, stds = rolling_mean_std(series, q)
     else:
@@ -116,19 +152,29 @@ def mass(
                 f"stats must hold {expected} window statistics "
                 f"(n - q + 1), got {means.shape[0]}/{stds.shape[0]}"
             )
-    if sigma_q < EPS:
+    # Each row's mean and std, as ``np.mean``/``np.std`` compute them
+    # (pairwise sums along the row), with one sum serving both.
+    mu_q = np.add.reduce(block, axis=1, keepdims=True) / q
+    spread = np.subtract(block, mu_q)
+    np.multiply(spread, spread, out=spread)
+    sigma_q = np.sqrt(np.add.reduce(spread, axis=1, keepdims=True) / q)
+    # In place on the irfft output: qt -> corr -> distance.
+    profiles = _sliding_dots(block, series)
+    work = np.multiply(q * means, mu_q)
+    np.subtract(profiles, work, out=profiles)
+    denom = np.multiply(q * stds, sigma_q, out=work)
+    flat = denom < EPS  # flat window: zero correlation with any shape
+    np.divide(profiles, np.maximum(denom, EPS, out=denom), out=profiles)
+    np.copyto(profiles, 0.0, where=flat)
+    np.clip(profiles, -1.0, 1.0, out=profiles)
+    np.subtract(1.0, profiles, out=profiles)
+    np.multiply(profiles, 2.0 * q, out=profiles)
+    np.sqrt(profiles, out=profiles)
+    constant = sigma_q[:, 0] < EPS
+    if constant.any():
         # Constant query: matches exactly the constant subsequences.
-        profile = np.where(stds < EPS, 0.0, np.sqrt(2.0 * q))
-        return profile.astype(np.float64)
-    qt = sliding_dot_product(query, series)
-    denom = q * stds * sigma_q
-    corr = np.where(
-        denom < EPS,
-        0.0,  # flat window: zero correlation with any shape
-        (qt - q * means * mu_q) / np.maximum(denom, EPS),
-    )
-    corr = np.clip(corr, -1.0, 1.0)
-    return np.sqrt(2.0 * q * (1.0 - corr))
+        profiles[constant] = np.where(stds < EPS, 0.0, np.sqrt(2.0 * q))
+    return profiles[0] if single else profiles
 
 
 def best_match(query: np.ndarray, series: np.ndarray) -> tuple[int, float]:
@@ -162,8 +208,19 @@ def top_k_matches(
     yield identical hit lists.
     """
     query = as_series(query, "query")
-    profile = mass(query, series).copy()
     radius = exclusion if exclusion is not None else max(1, query.shape[0] // 2)
+    return profile_top_k(mass(query, series), k=k, radius=radius)
+
+
+def profile_top_k(
+    profile: np.ndarray, *, k: int, radius: int
+) -> list[tuple[int, float]]:
+    """Top-*k* hits of one distance *profile*, no two within *radius*.
+
+    Each round takes the lowest offset among the minima (``np.argmin``
+    first-occurrence) and blanks ``radius`` offsets each side of it;
+    stops early once only ``inf`` is left. Overwrites *profile*.
+    """
     hits: list[tuple[int, float]] = []
     for _ in range(k):
         idx = int(np.argmin(profile))

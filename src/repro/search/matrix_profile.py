@@ -4,9 +4,14 @@ The matrix profile stores, for every subsequence of a series, the
 z-normalized ED to its nearest non-trivial neighbor. Its minima are
 **motifs** (repeated patterns) and its maxima are **discords** (anomalies)
 — two of the tasks the paper's introduction lists as fueled by distance
-measures. This implementation is the straightforward
-:math:`O(n^2 \log n)` STAMP-style loop over :func:`~repro.search.mass.mass`
-distance profiles with a trivial-match exclusion zone.
+measures. :func:`matrix_profile` computes it in :math:`O(n^2 \log n)`:
+one :func:`~repro.search.mass.mass` call per row block of
+:func:`~repro.search.mass.profile_rows` subsequences, over rolling
+window statistics taken once; each row's trivial-match exclusion zone
+is blanked and its first-occurrence minimum kept. Every entry and
+neighbor index is bitwise what one ``mass`` call per subsequence gives.
+The streaming profile (:mod:`repro.streaming.profile`) folds the same
+row blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .._validation import as_series
 from ..exceptions import ValidationError
-from .mass import mass
+from .mass import mass, profile_rows, rolling_mean_std
 
 
 @dataclass(frozen=True)
@@ -77,14 +82,44 @@ def matrix_profile(series, window: int) -> MatrixProfile:
         )
     n_sub = n - window + 1
     exclusion = max(1, window // 2)
-    profile = np.full(n_sub, np.inf)
-    indices = np.zeros(n_sub, dtype=np.intp)
-    for i in range(n_sub):
-        dist = mass(series[i : i + window], series)
-        lo = max(0, i - exclusion)
-        hi = min(n_sub, i + exclusion + 1)
-        dist[lo:hi] = np.inf  # trivial matches
-        j = int(np.argmin(dist))
-        profile[i] = dist[j]
-        indices[i] = j
+    stats = rolling_mean_std(series, window)
+    rows = profile_rows(n, window)
+    profile = np.empty(n_sub)
+    indices = np.empty(n_sub, dtype=np.intp)
+    for start in range(0, n_sub, rows):
+        stop = min(start + rows, n_sub)
+        windows = subsequences(series, start, stop, window)
+        block = mass(windows, series, stats=stats)
+        exclude_trivial(block, start, exclusion)
+        best = block.argmin(axis=1)
+        indices[start:stop] = best
+        profile[start:stop] = block[np.arange(stop - start), best]
     return MatrixProfile(profile=profile, indices=indices, window=window)
+
+
+def subsequences(
+    series: np.ndarray, start: int, stop: int, window: int
+) -> np.ndarray:
+    """``(stop - start, window)`` view of the length-``window``
+    subsequences starting at ``start .. stop - 1`` of a contiguous 1-D
+    *series* (numpy rejects a range past its end)."""
+    step = series.itemsize
+    return np.ndarray(
+        (stop - start, window),
+        series.dtype,
+        buffer=series,
+        offset=start * step,
+        strides=(step, step),
+    )
+
+
+def exclude_trivial(block: np.ndarray, start: int, exclusion: int) -> None:
+    """Blank each row's trivial matches with ``inf``, in place.
+
+    Row ``r`` of *block* is the distance profile of subsequence
+    ``start + r``; offsets within ``exclusion`` of it are trivial.
+    """
+    n_sub = block.shape[1]
+    for r, j in enumerate(range(start, start + block.shape[0])):
+        lo, hi = max(0, j - exclusion), min(n_sub, j + exclusion + 1)
+        block[r, lo:hi] = np.inf

@@ -11,8 +11,9 @@ layers, bottom up:
 - :class:`StreamState` — append-only buffer with incremental window
   statistics (O(1) per point, bitwise equal to the batch rolling stats);
 - :class:`StreamingMatrixProfile` — the batch
-  :func:`repro.search.matrix_profile` answer extended one point at a
-  time (one MASS row per append; within 1e-9 of batch on any prefix);
+  :func:`repro.search.matrix_profile` answer extended append by append
+  (one MASS row per new subsequence, computed in row blocks; within
+  1e-9 of batch on any prefix);
 - detectors (:class:`DiscordDetector`, :class:`MotifDetector`,
   :class:`DriftDetector`, :class:`LabelMonitor`) + the orchestrating
   :class:`StreamMonitor` — replay-deterministic alerts with hysteresis;

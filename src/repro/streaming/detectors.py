@@ -193,15 +193,18 @@ class MotifDetector:
 
 
 class DriftDetector:
-    """Distribution drift: newest window mean vs a frozen baseline.
+    """Distribution drift: every window's mean vs a frozen baseline.
 
-    The first ``baseline_points`` points freeze a baseline mean/std
-    (read from the state's stable Welford accumulators — O(1), no second
-    pass). Afterwards every append scores the newest window's mean as a
-    z-value against that baseline; crossing ``z_threshold`` fires a
-    ``drift`` alert (with hysteresis), and :attr:`drifted_points` counts
-    every point observed beyond the trigger — the "how long have we been
-    off-distribution" counter exported to ``/metrics``.
+    The first ``baseline_points`` points (default: four windows) freeze a
+    baseline mean/std. Every window ending past them is then scored, in
+    stream order, as the z-value of its mean against that baseline;
+    crossing ``z_threshold`` fires a ``drift`` alert at the window's last
+    point (with hysteresis), and :attr:`drifted_points` counts the
+    windows scored at or above the trigger — one window ends at each
+    point past the baseline, so this is the "how long have we been
+    off-distribution" count in points, exported to ``/metrics``. Scores,
+    alerts and the count depend only on the points, not on how the
+    appends chunk them.
     """
 
     kind = "drift"
@@ -221,41 +224,44 @@ class DriftDetector:
         self.baseline_points = baseline_points
         self.baseline_mean: float | None = None
         self.baseline_std: float | None = None
-        #: Points observed while the z-score sat at/above the trigger.
+        #: Windows (one per point past the baseline) scored at/above
+        #: the trigger.
         self.drifted_points = 0
 
     def update(
         self, monitor: "StreamMonitor", new_subsequences: range
     ) -> list[Alert]:
         state = monitor.state
-        baseline = self.baseline_points or 4 * state.window
+        window = state.window
+        baseline = self.baseline_points or 4 * window
         if self.baseline_mean is None:
             if state.n < baseline:
                 return []
-            self.baseline_mean = state.mean
-            self.baseline_std = max(state.std, EPS)
-            return []
-        if state.n_windows == 0:
-            return []
-        z = (
-            abs(float(state.window_means[-1]) - self.baseline_mean)
-            / self.baseline_std
-        )
-        if z >= self._trigger.trigger:
-            self.drifted_points += 1
-        if self._trigger.update(z):
-            return [
-                Alert(
-                    self.kind,
-                    at=state.n - 1,
-                    value=z,
-                    detail={
-                        "baseline_mean": self.baseline_mean,
-                        "window_mean": float(state.window_means[-1]),
-                    },
+            head = state.values[:baseline]
+            self.baseline_mean = float(head.mean())
+            self.baseline_std = max(float(head.std()), EPS)
+        # The new windows whose last point lies past the baseline, in
+        # stream order. A plain loop: most appends bring one window.
+        first = max(new_subsequences.start, baseline - window + 1)
+        means = state.window_means[first : new_subsequences.stop].tolist()
+        alerts = []
+        for start, mean in enumerate(means, first):
+            z = abs(mean - self.baseline_mean) / self.baseline_std
+            if z >= self._trigger.trigger:
+                self.drifted_points += 1
+            if self._trigger.update(z):
+                alerts.append(
+                    Alert(
+                        self.kind,
+                        at=start + window - 1,
+                        value=z,
+                        detail={
+                            "baseline_mean": self.baseline_mean,
+                            "window_mean": mean,
+                        },
+                    )
                 )
-            ]
-        return []
+        return alerts
 
 
 class LabelMonitor:

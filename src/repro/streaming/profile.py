@@ -1,27 +1,42 @@
 r"""Incremental (STAMPI-style) matrix profile over an appended stream.
 
 :class:`StreamingMatrixProfile` maintains the self-join matrix profile
-of a growing series one appended point at a time, extending the batch
+of a growing series append by append, extending the batch
 :func:`repro.search.matrix_profile` answer instead of recomputing it:
 
-- appending point ``t`` completes at most one new subsequence
-  ``j = t - window + 1``. Its distance profile against the whole prefix
-  is one :func:`repro.search.mass` call — the same
-  ``sliding_dot_product`` FFT machinery as the batch path, fed the
+- an append of ``k`` points completes (at most) ``k`` new subsequences.
+  Their distance profiles against the whole prefix are computed in row
+  blocks of :func:`repro.search.mass.profile_rows` subsequences, one
+  :func:`repro.search.mass` call per block — one FFT of the prefix, one
+  batched FFT of the block's rows, one batched inverse FFT — fed the
   window statistics that :class:`~repro.streaming.state.StreamState`
   maintains incrementally (bitwise equal to the batch rolling stats);
-- that single row updates everything that can change: ``profile[j]`` is
-  its minimum outside the trivial-match exclusion zone, and every older
-  entry ``profile[i]`` is lowered to ``row[i]`` where the new
-  subsequence is a closer neighbor (the matrix profile only ever
-  decreases as data arrives).
+- each row updates everything that can change: the new subsequence's
+  entry is its row's minimum outside the trivial-match exclusion zone,
+  and every other entry ``profile[i]`` is lowered to ``row[i]`` where
+  the new subsequence is a closer neighbor (the matrix profile only
+  ever decreases as data arrives).
 
-Each update is therefore one O(n log n) FFT pass plus O(n) elementwise
-work — **amortized O(n·polylog)** per point and O(n²·log n) for a full
-replay, the same asymptotic as one batch computation, *not* the
-O(n³·log n) of recomputing the batch answer per point. The benchmark
+**Offer order.** Row by row, entry ``i`` receives one offer per row in
+row order: ``(row_j[i], j)`` from every row ``j != i`` and, from its own
+row, that row's first-occurrence minimum with its offset; an offer
+replaces the held pair only when strictly smaller (so ties keep the
+earliest neighbor). A block applies all its rows at once in exactly
+that order (see :func:`_fold`), and blocks are applied in row order, so
+every profile value and neighbor index is **bitwise** what one ``mass``
+call and one update per subsequence give, for every chunking of the
+same points.
+
+**Cost.** Each new subsequence costs its share of one O(n log n) FFT
+block plus O(n) elementwise work — **amortized O(n·polylog)** per point
+and O(n²·log n) for a full replay, the same asymptotic as one batch
+computation, *not* the O(n³·log n) of recomputing the batch answer per
+point. An append holds one row block's buffers at a time (each about
+``PROFILE_BUDGET`` values: ≈1.4 MiB in all for a 64-point append at
+n = 8192), never a distance block for the whole append. The benchmark
 gate (``benchmarks/bench_streaming.py``) pins both the absolute p99
-update latency at 10⁴ points of history and the near-linear growth.
+one-point update latency at 10⁴ points of history and the near-linear
+growth.
 
 **Parity invariant.** After replaying any prefix long enough for the
 batch path to accept (``n >= 2 * window``), :attr:`profile` matches
@@ -47,8 +62,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..search.mass import mass
-from ..search.matrix_profile import MatrixProfile
+from ..search.mass import mass, profile_rows
+from ..search.matrix_profile import (
+    MatrixProfile,
+    exclude_trivial,
+    subsequences,
+)
 from .state import StreamState, _grow
 
 #: Neighbor index recorded while a subsequence has no non-trivial
@@ -114,29 +133,20 @@ class StreamingMatrixProfile:
         self._indices[self._n_sub : n_sub] = NO_NEIGHBOR
         series = self.state.values
         stats = (self.state.window_means, self.state.window_stds)
-        w, e = self.window, self.exclusion
         profile = self._profile[:n_sub]
         indices = self._indices[:n_sub]
-        for j in range(self._n_sub, n_sub):
-            # One MASS row: d(subseq_j, subseq_i) for every i, with the
-            # rolling stats read from the incremental state instead of
-            # recomputed — the only O(n log n) work per appended point.
-            row = mass(series[j : j + w], series, stats=stats)
-            row[max(0, j - e) : min(n_sub, j + e + 1)] = np.inf
-            # The new subsequence's own entry: minimum of its row, ties
-            # to the lowest index (np.argmin first-occurrence).
-            best = int(np.argmin(row))
-            if row[best] < profile[j]:
-                profile[j] = row[best]
-                indices[j] = best
-            # Symmetric updates: the new subsequence may be a closer
-            # neighbor for older entries. Strict `<` keeps the earliest
-            # (lowest-index) neighbor on exact ties, matching the batch
-            # argmin convention.
-            better = row < profile
-            if better.any():
-                profile[better] = row[better]
-                indices[better] = j
+        rows = profile_rows(series.shape[0], self.window)
+        for start in range(self._n_sub, n_sub, rows):
+            stop = min(start + rows, n_sub)
+            # One MASS block: d(subseq_j, subseq_i) for every i and each
+            # new j, with the rolling stats read from the incremental
+            # state instead of recomputed.
+            block = mass(
+                subsequences(series, start, stop, self.window),
+                series,
+                stats=stats,
+            )
+            _fold(block, start, self.exclusion, profile, indices)
         self._n_sub = n_sub
 
     # -- views ---------------------------------------------------------
@@ -175,15 +185,55 @@ class StreamingMatrixProfile:
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot for the ``/stream/<id>/profile`` endpoint."""
-        profile = self.profile
+        values = self._profile[: self._n_sub]
+        profile = values.tolist()
+        # JSON has no inf: ship None where no candidate exists yet.
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            profile[i] = None
         return {
             "window": self.window,
             "exclusion": self.exclusion,
             "n": self.state.n,
             "subsequences": self._n_sub,
-            # JSON has no inf: ship None where no candidate exists yet.
-            "profile": [
-                None if not np.isfinite(v) else float(v) for v in profile
-            ],
+            "profile": profile,
             "indices": self.indices.tolist(),
         }
+
+
+def _fold(
+    block: np.ndarray,
+    start: int,
+    exclusion: int,
+    profile: np.ndarray,
+    indices: np.ndarray,
+) -> None:
+    """Fold the distance rows of subsequences ``start, start + 1, ...``
+    into ``profile``/``indices`` in place, exactly as one row at a time
+    would (the module's offer order).
+
+    Under that order an entry ends holding the first offer, in row
+    order, that reaches the minimum of its offers, if that minimum beats
+    the value it held. Writing each row's own offer into its own column
+    (a trivial-match cell, ``inf`` until then) makes those the column
+    minimum of *block* and the first row reaching it.
+    """
+    exclude_trivial(block, start, exclusion)
+    rows = block.shape[0]
+    own = block.argmin(axis=1)
+    # Row r's own column start + r: the diagonal of this column slice.
+    np.fill_diagonal(
+        block[:, start : start + rows], block[np.arange(rows), own]
+    )
+    # A one-row block (a one-point append) is its own column minimum;
+    # skipping the reduction's copy keeps those appends as cheap as the
+    # row-at-a-time fold.
+    best = block.min(axis=0) if rows > 1 else block[0]
+    better = best < profile
+    if better.any():
+        cols = np.flatnonzero(better)
+        first = (block[:, cols] == best[cols]).argmax(axis=0)
+        offers = start + first
+        mine = offers == cols
+        offers[mine] = own[first[mine]]
+        profile[cols] = best[cols]
+        indices[cols] = offers

@@ -15,8 +15,7 @@ maintained **incrementally**:
   are **bitwise equal** to the batch ones — the invariant the streaming
   matrix profile's 1e-9 parity gate is built on;
 - whole-stream mean/variance via Welford's update (numerically stable
-  over arbitrarily long streams), the baseline the drift detector
-  compares windows against.
+  over arbitrarily long streams), reported in the stream's counters.
 
 Appends past the capacity cap are *dropped*, never resized away: the
 stream keeps its prefix semantics (indices are stable forever) and the
@@ -30,7 +29,6 @@ import math
 
 import numpy as np
 
-from .._validation import EPS
 from ..exceptions import StreamingError, ValidationError
 from ..search.mass import clamped_window_stats
 
@@ -191,18 +189,6 @@ class StreamState:
         if self._n < 2:
             return 0.0
         return math.sqrt(max(self._w_m2 / self._n, 0.0))
-
-    def zscore_of_latest_window(self) -> float:
-        """|newest window mean - stream mean| in units of stream std.
-
-        The drift detector's raw signal; 0.0 until one full window is
-        buffered. The denominator is floored at :data:`repro._validation.EPS`
-        so constant streams read as 0, not NaN.
-        """
-        if self.n_windows == 0:
-            return 0.0
-        denom = max(self.std, EPS)
-        return abs(float(self.window_means[-1]) - self.mean) / denom
 
     def to_dict(self) -> dict:
         """Counter snapshot for /metrics and the CLI summary."""

@@ -1,18 +1,83 @@
 """Tests for the subsequence-search substrate (MASS, matrix profile)."""
 
+import importlib
+
 import numpy as np
 import pytest
+from scipy.fft import irfft, next_fast_len, rfft
 
+from repro._validation import EPS
 from repro.exceptions import ValidationError
 from repro.search import (
     best_match,
     clamped_window_stats,
     mass,
     matrix_profile,
+    nearest_neighbors,
     rolling_mean_std,
     sliding_dot_product,
     top_k_matches,
 )
+from repro.search.mass import profile_rows
+
+#: The module, not the ``repro.search.mass`` function that shadows it.
+mass_module = importlib.import_module("repro.search.mass")
+
+
+def per_query_mass(query, series, stats=None):
+    """MASS one 1-D query at a time, with fresh temporaries: the kernel
+    the block ``mass`` must equal bitwise, row by row."""
+    q, n = query.shape[0], series.shape[0]
+    means, stds = rolling_mean_std(series, q) if stats is None else stats
+    sigma_q, mu_q = float(query.std()), float(query.mean())
+    if sigma_q < EPS:
+        return np.where(stds < EPS, 0.0, np.sqrt(2.0 * q))
+    nfft = next_fast_len(n + q - 1, real=True)
+    qt = irfft(rfft(series, nfft) * rfft(query[::-1], nfft), nfft)[q - 1 : n]
+    denom = q * stds * sigma_q
+    corr = np.where(
+        denom < EPS, 0.0, (qt - q * means * mu_q) / np.maximum(denom, EPS)
+    )
+    return np.sqrt(2.0 * q * (1.0 - np.clip(corr, -1.0, 1.0)))
+
+
+def per_row_matrix_profile(series, window):
+    """The matrix profile one ``mass`` call per subsequence."""
+    n_sub = series.shape[0] - window + 1
+    exclusion = max(1, window // 2)
+    profile = np.full(n_sub, np.inf)
+    indices = np.zeros(n_sub, dtype=np.intp)
+    for i in range(n_sub):
+        dist = per_query_mass(series[i : i + window], series)
+        dist[max(0, i - exclusion) : min(n_sub, i + exclusion + 1)] = np.inf
+        j = int(np.argmin(dist))
+        profile[i], indices[i] = dist[j], j
+    return profile, indices
+
+
+def block_series():
+    """Series the block kernels must answer bitwise like the per-row
+    ones on: ties, flat windows (and so constant queries), exact
+    duplicates, a large offset."""
+    gen = np.random.default_rng(17)
+    t = np.linspace(0, 30, 400)
+    return {
+        "wave": np.sin(t) + 0.05 * gen.normal(size=400),
+        "lattice": gen.integers(-3, 4, size=300).astype(float),
+        "flat_runs": np.concatenate(
+            [
+                np.zeros(40),
+                np.sin(np.arange(50.0)),
+                np.full(45, 3.0),
+                np.zeros(30),
+            ]
+        ),
+        "tiled": np.tile(gen.normal(size=23), 10),
+        "offset": 1e6 + np.sin(t) + 0.01 * gen.normal(size=400),
+    }
+
+
+BLOCK_SERIES = block_series()
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +248,129 @@ class TestMASS:
         t = np.concatenate([np.full(20, 3.0), np.sin(np.linspace(0, 6, 30))])
         profile = mass(np.sin(np.linspace(0, 3, 5)), t)
         assert profile[0] == pytest.approx(np.sqrt(10))
+
+
+class TestMassBlocks:
+    @pytest.mark.parametrize("window", [4, 16, 33])
+    @pytest.mark.parametrize("name", sorted(BLOCK_SERIES))
+    def test_rows_equal_the_one_query_call(self, name, window):
+        series = BLOCK_SERIES[name]
+        stats = rolling_mean_std(series, window)
+        windows = np.lib.stride_tricks.sliding_window_view(series, window)
+        rows = [windows[0], windows[-1], np.full(window, 2.5)]
+        rows += list(windows[5 : 5 + 40 : 3])
+        block = np.array(rows)
+        for given in (None, stats):
+            profiles = mass(block, series, stats=given)
+            assert profiles.shape == (len(rows), series.shape[0] - window + 1)
+            for query, profile in zip(block, profiles):
+                one = mass(query, series, stats=given)
+                assert profile.tobytes() == one.tobytes()
+                assert one.tobytes() == per_query_mass(query, series).tobytes()
+            # Row blocks of one and of three rows.
+            for size in (1, 3):
+                for start in range(0, len(rows), size):
+                    rows_ = block[start : start + size]
+                    part = mass(rows_, series, stats=given)
+                    assert part.tobytes() == np.ascontiguousarray(
+                        profiles[start : start + size]
+                    ).tobytes()
+
+    def test_one_by_q_is_a_block_of_one(self, rng):
+        q, t = rng.normal(size=10), rng.normal(size=100)
+        block = mass(q[None, :], t)
+        assert block.shape == (1, 91)
+        assert block[0].tobytes() == mass(q, t).tobytes()
+
+    def test_q_by_one_is_q_queries(self, rng):
+        q, t = rng.normal(size=10), rng.normal(size=100)
+        block = mass(q[:, None], t)
+        assert block.shape == (10, 100)
+        for value, row in zip(q, block):
+            assert row.tobytes() == mass(np.array([value]), t).tobytes()
+
+    def test_block_validation(self, rng):
+        t = rng.normal(size=50)
+        with pytest.raises(ValidationError):
+            mass(np.ones((2, 60)), t)  # longer than the series
+        with pytest.raises(ValidationError):
+            mass(np.array([[1.0, np.nan, 2.0]]), t)
+        means, stds = rolling_mean_std(t, 7)
+        with pytest.raises(ValidationError):
+            mass(np.ones((2, 8)), t, stats=(means, stds))
+
+    def test_sliding_dot_product_matches_per_query_fft(self, rng):
+        q, t = rng.normal(size=13), rng.normal(size=211)
+        nfft = next_fast_len(211 + 12, real=True)
+        want = irfft(rfft(t, nfft) * rfft(q[::-1], nfft), nfft)[12:211]
+        assert sliding_dot_product(q, t).tobytes() == want.tobytes()
+
+
+class TestRowBlockedCallers:
+    """``matrix_profile`` and the subsequence route run one ``mass``
+    block per row block; every answer stays the per-row one, bitwise."""
+
+    @pytest.mark.parametrize("window", [4, 16, 33])
+    @pytest.mark.parametrize("name", sorted(BLOCK_SERIES))
+    def test_matrix_profile_equals_per_row_loop(self, name, window):
+        series = BLOCK_SERIES[name]
+        mp = matrix_profile(series, window)
+        profile, indices = per_row_matrix_profile(series, window)
+        assert mp.profile.tobytes() == profile.tobytes()
+        assert np.array_equal(mp.indices, indices)
+
+    def test_matrix_profile_shortest_series_and_small_blocks(
+        self, monkeypatch
+    ):
+        series = BLOCK_SERIES["wave"][:40]  # n = 2 * window
+        profile, indices = per_row_matrix_profile(series, 20)
+        for budget in (1 << 16, 1 << 6, 1 << 7):
+            monkeypatch.setattr(mass_module, "PROFILE_BUDGET", budget)
+            mp = matrix_profile(series, 20)
+            assert mp.profile.tobytes() == profile.tobytes()
+            assert np.array_equal(mp.indices, indices)
+
+    def test_matrix_profile_calls_mass_once_per_row_block(self, monkeypatch):
+        series = BLOCK_SERIES["wave"]
+        calls = []
+        real = mass_module.mass
+
+        def counted(query, series, **kwargs):
+            calls.append(np.shape(query))
+            return real(query, series, **kwargs)
+
+        monkeypatch.setattr(
+            importlib.import_module("repro.search.matrix_profile"),
+            "mass",
+            counted,
+        )
+        matrix_profile(series, 25)
+        n_sub = series.shape[0] - 25 + 1
+        rows = profile_rows(series.shape[0], 25)
+        assert len(calls) == -(-n_sub // rows)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_SERIES))
+    def test_subsequence_route_equals_per_query_top_k(self, name, monkeypatch):
+        series = BLOCK_SERIES[name]
+        window = 16
+        windows = np.lib.stride_tricks.sliding_window_view(series, window)
+        queries = np.vstack([windows[::9], np.full((1, window), 1.0)])
+        for budget in (1 << 16, 1 << 12):
+            monkeypatch.setattr(mass_module, "PROFILE_BUDGET", budget)
+            for k, exclusion in ((1, None), (3, None), (40, window)):
+                got = nearest_neighbors(
+                    queries, series, domain="subsequence", k=k,
+                    exclusion=exclusion,
+                )
+                want = [
+                    top_k_matches(q, series, k=k, exclusion=exclusion)
+                    for q in queries
+                ]
+                width = max(min(k, *(len(hits) for hits in want)), 1)
+                indices = [[i for i, _ in hits[:width]] for hits in want]
+                distances = [[d for _, d in hits[:width]] for hits in want]
+                assert np.array_equal(got.indices, indices)
+                assert got.distances.tobytes() == np.array(distances).tobytes()
 
 
 class TestTopKMatches:

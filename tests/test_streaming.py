@@ -9,7 +9,10 @@ server endpoints, CLI) builds on that invariant.
 
 from __future__ import annotations
 
+import importlib
 import json
+import math
+import tracemalloc
 import urllib.error
 import urllib.request
 
@@ -20,7 +23,9 @@ from hypothesis import strategies as st
 
 from repro.datasets import default_archive
 from repro.exceptions import StreamingError, ValidationError
-from repro.search import matrix_profile, rolling_mean_std
+import repro.streaming.profile as profile_module
+from repro.search import mass, matrix_profile, rolling_mean_std
+from repro.search.mass import profile_rows
 from repro.serving import (
     ModelArtifact,
     QueryEngine,
@@ -67,6 +72,82 @@ def chunked(series, sizes):
         start += size
         i += 1
     return out
+
+
+class PerRowProfile:
+    """The streaming fold one subsequence at a time: one 1-D ``mass``
+    call per new subsequence, folded row by row. The block fold of
+    :class:`StreamingMatrixProfile` must equal it bitwise."""
+
+    def __init__(self, window):
+        self.state = StreamState(window)
+        self.exclusion = max(1, window // 2)
+        self.profile = np.zeros(0)
+        self.indices = np.zeros(0, dtype=np.intp)
+
+    def append(self, values):
+        self.state.append(values)
+        n_sub = self.state.n_windows
+        new = n_sub - self.profile.shape[0]
+        self.profile = np.concatenate([self.profile, np.full(new, np.inf)])
+        self.indices = np.concatenate(
+            [self.indices, np.full(new, NO_NEIGHBOR, dtype=np.intp)]
+        )
+        series = self.state.values
+        stats = (self.state.window_means, self.state.window_stds)
+        w, e = self.state.window, self.exclusion
+        for j in range(n_sub - new, n_sub):
+            row = mass(series[j : j + w], series, stats=stats)
+            row[max(0, j - e) : min(n_sub, j + e + 1)] = np.inf
+            best = int(np.argmin(row))
+            if row[best] < self.profile[j]:
+                self.profile[j] = row[best]
+                self.indices[j] = best
+            better = row < self.profile
+            self.profile[better] = row[better]
+            self.indices[better] = j
+
+
+def assert_fold_matches_per_row(series, window, sizes):
+    """Replay *series* in chunks cycling through *sizes* through both
+    folds; profiles and neighbor indices must agree bitwise."""
+    streamed, reference = StreamingMatrixProfile(window), PerRowProfile(window)
+    for block in chunked(series, sizes):
+        streamed.append(block)
+        reference.append(block)
+    assert streamed.profile.tobytes() == reference.profile.tobytes()
+    assert np.array_equal(streamed.indices, reference.indices)
+
+
+def fold_series():
+    """Series on which the block fold must reproduce the per-row fold:
+    ties, flat windows, a constant query, exact duplicates, a large
+    offset."""
+    gen = np.random.default_rng(31)
+    t = np.linspace(0, 40, 900)
+    flat = np.concatenate(
+        [
+            np.zeros(60),
+            np.sin(np.arange(80.0)),
+            np.full(70, 3.0),
+            gen.normal(size=90),
+            np.zeros(50),
+        ]
+    )
+    return {
+        "wave": np.sin(t) + 0.05 * gen.normal(size=900),
+        "lattice": gen.integers(-3, 4, size=500).astype(float),
+        "flat_runs": flat,
+        "tiled": np.tile(gen.normal(size=37), 12),
+        "offset": 1e6 + np.sin(t[:700]) + 0.01 * gen.normal(size=700),
+    }
+
+
+FOLD_SERIES = fold_series()
+
+#: Chunkings: point by point, the server's 64-point appends, a mix, and
+#: one whole append (``None``).
+FOLD_CHUNKINGS = ([1], [64], [1, 7, 128, 3], None)
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +291,20 @@ class TestStreamingProfileParity:
         batch = matrix_profile(series, window=window)
         assert profile_diff(batch.profile, smp.profile) <= PARITY_ATOL
 
+    def test_snapshot_ships_none_where_no_candidate(self, wave):
+        smp = StreamingMatrixProfile(8)
+        smp.append(wave[:13])  # 6 subsequences: the middle ones are inf
+        snapshot = smp.to_dict()
+        profile = smp.profile
+        assert np.isinf(profile).any() and np.isfinite(profile).any()
+        assert snapshot["profile"] == [
+            None if not np.isfinite(v) else float(v) for v in profile
+        ]
+        assert all(
+            type(v) is float for v in snapshot["profile"] if v is not None
+        )
+        json.dumps(snapshot, allow_nan=False)
+
     def test_as_matrix_profile_discord_helpers(self, wave):
         series, at = inject_discord(wave, scale=8.0)
         smp = StreamingMatrixProfile(40)
@@ -243,8 +338,13 @@ class TestStreamingProfileParity:
         )
         chunk = data.draw(st.integers(1, n), label="chunk")
         smp = StreamingMatrixProfile(window)
+        reference = PerRowProfile(window)
         for start in range(0, n, chunk):
             smp.append(series[start : start + chunk])
+            reference.append(series[start : start + chunk])
+        # The block fold is the per-row fold, bitwise, ties included.
+        assert smp.profile.tobytes() == reference.profile.tobytes()
+        assert np.array_equal(smp.indices, reference.indices)
         batch = matrix_profile(series, window=window)
         assert smp.profile.shape == batch.profile.shape
         # Hypothesis happily constructs EXACT z-normalized duplicates
@@ -263,6 +363,90 @@ class TestStreamingProfileParity:
             profile_diff(batch.profile[away], smp.profile[away])
             <= PARITY_ATOL
         )
+
+
+# ---------------------------------------------------------------------------
+# StreamingMatrixProfile: the block fold is the per-row fold, bitwise
+# ---------------------------------------------------------------------------
+class TestBlockFoldEqualsPerRowFold:
+    @pytest.mark.parametrize("sizes", FOLD_CHUNKINGS, ids=str)
+    @pytest.mark.parametrize("window", [4, 25, 40])
+    @pytest.mark.parametrize("name", sorted(FOLD_SERIES))
+    def test_every_chunking(self, name, window, sizes):
+        series = FOLD_SERIES[name]
+        assert_fold_matches_per_row(series, window, sizes or [len(series)])
+
+    @pytest.mark.parametrize("window", [2, 6, 10])
+    def test_short_streams(self, window):
+        rng = np.random.default_rng(window)
+        for n in (window, window + 1, 2 * window, 2 * window + 3):
+            series = rng.normal(size=n)
+            for sizes in ([1], [2], [n]):
+                assert_fold_matches_per_row(series, window, sizes)
+
+    def test_one_append_spans_many_row_blocks(self, monkeypatch):
+        mass_module = importlib.import_module("repro.search.mass")
+        series = FOLD_SERIES["wave"]
+        window = 25
+        # 2^10 values per block: one row per block over 900 points.
+        monkeypatch.setattr(mass_module, "PROFILE_BUDGET", 1 << 10)
+        assert profile_rows(series.shape[0], window) == 1
+        assert_fold_matches_per_row(series, window, [len(series)])
+        monkeypatch.setattr(mass_module, "PROFILE_BUDGET", 1 << 12)
+        assert 1 < profile_rows(series.shape[0], window) < 8
+        for sizes in ([len(series)], [1, 7, 128, 3]):
+            assert_fold_matches_per_row(series, window, sizes)
+
+
+class TestStreamingFoldStaysBlocked:
+    """A fallback to one MASS call per new subsequence keeps every
+    answer and only costs time; these count the calls and bound the
+    memory of one 64-point append over 8192 points instead."""
+
+    WINDOW = 64
+
+    @classmethod
+    def profile_with_history(cls, n):
+        # The fold's cost does not depend on the profile's values, so the
+        # history's entries are left at inf instead of computed.
+        series = np.sin(np.linspace(0, 400, n)) + 0.1 * np.random.default_rng(
+            3
+        ).normal(size=n)
+        smp = StreamingMatrixProfile(cls.WINDOW)
+        smp.state.append(series[: n - 64])
+        n_sub = smp.state.n_windows
+        smp._profile = np.full(n_sub, np.inf)
+        smp._indices = np.full(n_sub, NO_NEIGHBOR, dtype=np.intp)
+        smp._n_sub = n_sub
+        return smp, series[n - 64 :]
+
+    def test_mass_calls_per_append(self, monkeypatch):
+        smp, chunk = self.profile_with_history(8192)
+        calls = []
+
+        def counted(query, series, **kwargs):
+            calls.append(np.shape(query))
+            return mass(query, series, **kwargs)
+
+        monkeypatch.setattr(profile_module, "mass", counted)
+        smp.append(chunk)
+        rows = profile_rows(8192, self.WINDOW)
+        assert 1 < rows < 64
+        assert len(calls) == math.ceil(64 / rows)
+        assert all(shape[0] <= rows for shape in calls)
+
+    def test_append_memory_bound(self):
+        smp, chunk = self.profile_with_history(8192)
+        smp.append(chunk[:1])  # warm FFT plans and buffers
+        tracemalloc.start()
+        try:
+            smp.append(chunk[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One row block (a few cache-sized buffers) at a time; a whole
+        # append's distance block alone is 63 x 8129 x 8 B = 3.9 MiB.
+        assert peak < 3 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +524,45 @@ class TestDetectors:
         drift = [a for a in alerts if a.kind == "drift"]
         assert len(drift) == 1  # hysteresis: one alert for one excursion
         detector = monitor.detectors[0]
-        assert detector.drifted_points > 0
-        # The baseline froze at the first update past baseline_points —
-        # here after the single 400-point append, so over all of calm.
-        assert detector.baseline_mean == pytest.approx(calm.mean())
+        # One window ends at each point past the baseline; 197 of those
+        # windows score at or above the trigger.
+        assert detector.drifted_points == 197
+        # The baseline froze over exactly the first baseline_points
+        # points, although the first append carried 400.
+        assert detector.baseline_mean == pytest.approx(calm[:300].mean())
+        assert detector.baseline_std == pytest.approx(calm[:300].std())
+
+    def test_drift_detector_does_not_depend_on_chunking(self):
+        rng = np.random.default_rng(11)
+        series = np.concatenate(
+            [
+                rng.normal(0, 1, 400),
+                rng.normal(6, 1, 200),
+                rng.normal(0, 1, 200),
+                rng.normal(-6, 1, 100),
+            ]
+        )
+
+        def run(chunk):
+            detector = DriftDetector(z_threshold=5.0, baseline_points=300)
+            monitor = StreamMonitor(20, detectors=[detector])
+            alerts = []
+            for start in range(0, series.shape[0], chunk):
+                alerts.extend(monitor.append(series[start : start + chunk]))
+            return (
+                [a.to_dict() for a in alerts],
+                detector.drifted_points,
+                detector.baseline_mean,
+            )
+
+        runs = [run(chunk) for chunk in (1, 8, 64, series.shape[0])]
+        assert all(r == runs[0] for r in runs[1:])
+        alerts, drifted, _ = runs[0]
+        # Two excursions, two alerts (the calm stretch between re-arms
+        # the trigger), each at the last point of its first window past
+        # the trigger.
+        assert [a["at"] for a in alerts] == [414, 814]
+        assert drifted == 276
 
     def test_label_monitor_alerts_on_shift(self):
         dataset = default_archive(n_datasets=4, size_scale=0.4, seed=3).subset(
