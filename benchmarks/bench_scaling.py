@@ -22,9 +22,18 @@ things, at k = 1 and k = 5:
   ``pairwise`` plus stable argsort (best of 5, timed interleaved in one
   process so the machine's speed phases cancel); 10^3 is reported only.
 
-It also prints, without a gate, the DTW audit at equal k: ``paa_lb`` at
-8 segments, ``paa_lb`` at full resolution (the engine's default DTW
-route) and ``pairwise`` plus stable argsort.
+The DTW audit compares, at equal k, ``paa_lb`` at 8 segments,
+``paa_lb`` at full resolution (the engine's default DTW route: LB_Keogh
+order, the DP in blocks) and ``pairwise`` plus stable argsort, for 4
+queries and for 1. It gates two things, at k = 1 and k = 5:
+
+- at every size both resolutions, pruned or not, equal stable argsort
+  over ``pairwise("dtw")`` bitwise;
+- from 10^4 up the full-resolution route answers 4 queries at least
+  ``DTW_MIN_SPEEDUP`` times faster than ``pairwise`` plus stable argsort
+  (best of 5, interleaved). The single-query rows are reported only:
+  there every DP call's fixed cost of ``m + n`` anti-diagonal steps
+  weighs most.
 """
 
 import os
@@ -111,11 +120,15 @@ GATED_FROM = 10_000
 #: 8.3-14.1x at 10^4-10^5 on a 2-vCPU VM, one BLAS thread).
 MIN_SPEEDUP = 3.0
 TIMING_ROUNDS = 5
-#: DTW audit: sizes, batch, band and repetitions.
+#: DTW audit: sizes, batches (the gated one first), band and repetitions.
 DTW_SIZES = (1_000, 10_000)
-DTW_QUERIES = 4
+DTW_QUERIES = (4, 1)
 DTW_DELTA = 10.0
-DTW_ROUNDS = 3
+DTW_ROUNDS = 5
+#: Required full-resolution ``paa_lb`` speed-up over pairwise + stable
+#: argsort for 4 queries from ``GATED_FROM`` references (read 3.6x at
+#: k = 1 and 1.8x at k = 5 over 10^4 on a 2-vCPU VM, one BLAS thread).
+DTW_MIN_SPEEDUP = 1.2
 
 
 def _clustered_references(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -192,10 +205,11 @@ def test_index_query_latency_vs_reference_size(benchmark, save_result):
         audit = []
         for n in DTW_SIZES:
             X = _clustered_references(n, rng)
-            Q = X[rng.integers(0, n, size=DTW_QUERIES)] + rng.normal(
-                0, 0.05, (DTW_QUERIES, SERIES_LENGTH)
+            Q = X[rng.integers(0, n, size=DTW_QUERIES[0])] + rng.normal(
+                0, 0.05, (DTW_QUERIES[0], SERIES_LENGTH)
             )
             params = {"delta": DTW_DELTA}
+            E = dtw.pairwise(Q, X, **params)
             paa8 = build_index(
                 {"kind": "paa_lb", "segments": 8}, X, measure="dtw",
                 params=params,
@@ -205,15 +219,28 @@ def test_index_query_latency_vs_reference_size(benchmark, save_result):
                 measure="dtw", params=params,
             )
             for k in (1, 5):
-                best = _interleaved_best(
-                    {
-                        "paa8": lambda: paa8.search(Q, k),
-                        "full": lambda: full.search(Q, k),
-                        "matrix": lambda: _matrix_route(dtw, Q, X, k, **params),
-                    },
-                    DTW_ROUNDS,
-                )
-                audit.append((n, k, best["paa8"], best["full"], best["matrix"]))
+                # Exact at every scale: both resolutions, pruned or not.
+                want_idx = np.argsort(E, axis=1, kind="stable")[:, :k]
+                want_dist = np.take_along_axis(E, want_idx, axis=1)
+                for index in (paa8, full):
+                    for prune in (True, False):
+                        got_idx, got_dist, _ = index.search(Q, k, prune=prune)
+                        np.testing.assert_array_equal(got_idx, want_idx)
+                        np.testing.assert_array_equal(got_dist, want_dist)
+                for r in DTW_QUERIES:
+                    best = _interleaved_best(
+                        {
+                            "paa8": lambda: paa8.search(Q[:r], k),
+                            "full": lambda: full.search(Q[:r], k),
+                            "matrix": lambda: _matrix_route(
+                                dtw, Q[:r], X, k, **params
+                            ),
+                        },
+                        DTW_ROUNDS,
+                    )
+                    audit.append(
+                        (n, r, k, best["paa8"], best["full"], best["matrix"])
+                    )
         return rows, audit
 
     rows, audit = run_once(benchmark, experiment)
@@ -230,15 +257,16 @@ def test_index_query_latency_vs_reference_size(benchmark, save_result):
         )
     lines += [
         "",
-        f"DTW audit at equal k: {DTW_QUERIES} queries, delta = "
-        f"{DTW_DELTA:g}, best of {DTW_ROUNDS} (no gate)",
-        f"{'n':>9} {'k':>2} {'paa_lb w=8':>11} {'paa_lb w=m':>11} "
-        f"{'pairwise+argsort':>17}",
+        f"DTW audit at equal k: r queries, delta = {DTW_DELTA:g}, best of "
+        f"{DTW_ROUNDS} (w=m gated at {DTW_MIN_SPEEDUP:g}x for "
+        f"r = {DTW_QUERIES[0]} from n = {GATED_FROM})",
+        f"{'n':>9} {'r':>2} {'k':>2} {'paa_lb w=8':>11} {'paa_lb w=m':>11} "
+        f"{'pairwise+argsort':>17} {'speedup':>8}",
     ]
-    for n, k, paa8_t, full_t, matrix_t in audit:
+    for n, r, k, paa8_t, full_t, matrix_t in audit:
         lines.append(
-            f"{n:>9} {k:>2} {paa8_t * 1e3:>9.1f}ms {full_t * 1e3:>9.1f}ms "
-            f"{matrix_t * 1e3:>15.1f}ms"
+            f"{n:>9} {r:>2} {k:>2} {paa8_t * 1e3:>9.1f}ms {full_t * 1e3:>9.1f}ms "
+            f"{matrix_t * 1e3:>15.1f}ms {matrix_t / full_t:>7.1f}x"
         )
     save_result("index_scaling", "\n".join(lines))
     # The screen must discard at least half the candidates at the
@@ -252,4 +280,11 @@ def test_index_query_latency_vs_reference_size(benchmark, save_result):
                 f"ed_scan {kernel_t * 1e3:.2f} ms is not {MIN_SPEEDUP:g}x "
                 f"faster than pairwise + argsort {matrix_t * 1e3:.2f} ms "
                 f"at n={n}, k={k}"
+            )
+    for n, r, k, _, full_t, matrix_t in audit:
+        if n >= GATED_FROM and r == DTW_QUERIES[0]:
+            assert matrix_t >= DTW_MIN_SPEEDUP * full_t, (
+                f"paa_lb {full_t * 1e3:.1f} ms is not {DTW_MIN_SPEEDUP:g}x "
+                f"faster than pairwise + argsort {matrix_t * 1e3:.1f} ms "
+                f"at n={n}, r={r}, k={k}"
             )

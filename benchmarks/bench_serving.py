@@ -5,7 +5,8 @@ Two measurements, mirroring the two halves of the serving stack:
 1. **In-process engine latency** — each batched ``QueryEngine.search``
    timed with ``time.perf_counter``, reporting exact p50/p95/p99 per
    route (sliding FFT vs the DTW cascade, served by a full-resolution
-   ``paa_lb`` index) for both cold (cache-miss) and hot (cache-hit)
+   ``paa_lb`` index that refines LB_Keogh-ordered candidates in blocks
+   through the pair-batched DP) for both cold (cache-miss) and hot (cache-hit)
    batches. The ``serve.predict`` histogram buckets sit about 9% apart,
    too coarse to see a change smaller than one bucket.
 

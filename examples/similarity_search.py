@@ -3,10 +3,11 @@
 1-NN similarity search is the workload the paper's evaluation framework
 deliberately resembles (Section 3). This example runs a query workload
 against a candidate database under banded DTW and shows how the classic
-LB_Keogh lower bound, plus an early-abandoning DP, prunes most of the
-expensive O(m^2) computations (the Section 10 acceleration), without
-changing any answer. The pruned search is ``nearest_neighbors``'s DTW
-route: a transient full-resolution ``paa_lb`` index.
+LB_Keogh lower bound prunes most of the expensive O(m^2) computations
+(the Section 10 acceleration), without changing any answer. The pruned
+search is ``nearest_neighbors``'s DTW route: a transient
+full-resolution ``paa_lb`` index, whose surviving candidates are
+refined in blocks by the pair-batched DP.
 
 Run: ``python examples/similarity_search.py``
 """

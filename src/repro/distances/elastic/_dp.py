@@ -6,11 +6,12 @@ DP loops run over plain Python lists of floats (an order of magnitude
 faster than scalar numpy indexing), with the Sakoe-Chiba band bookkeeping
 from :func:`band_width`.
 
-All-pairs matrices run on :func:`pairwise_dp` instead, which steps one
-recurrence through many (x, y) pairs at once along the DP's
-anti-diagonals: every cell of a diagonal depends only on the two
-diagonals before it, so one diagonal of every pair in a chunk is a few
-numpy operations. Each measure supplies its boundary row and column and a
+All-pairs matrices run on :func:`pairwise_dp` instead, and gathered
+lists of pairs (the exact DTW top-k refine's) on :func:`paired_dp`,
+which it calls per chunk. Both step one recurrence through many (x, y)
+pairs at once along the DP's anti-diagonals: every cell of a diagonal
+depends only on the two diagonals before it, so one diagonal of every
+pair in a chunk is a few numpy operations. Each measure supplies its boundary row and column and a
 vectorized cell rule written in its scalar function's operation order, so
 every entry equals the scalar function bitwise.
 """
@@ -112,6 +113,11 @@ def _corners(
     return diagonals[(M + N) % 3][M].copy()
 
 
+def pair_step(m: int, n: int) -> int:
+    """Pairs of series of lengths ``m`` and ``n`` in one chunk."""
+    return max(1, PAIR_BUDGET // (max(m, n) + 1))
+
+
 def _pair_indices(
     n_x: int, n_y: int, triangle: bool, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -148,14 +154,33 @@ def pairwise_dp(
     n_x, n_y = X.shape[0], Y.shape[0]
     triangle = Y is X
     count = n_x * (n_x + 1) // 2 if triangle else n_x * n_y
-    step = max(1, PAIR_BUDGET // (max(X.shape[1], Y.shape[1]) + 1))
+    step = pair_step(X.shape[1], Y.shape[1])
     out = np.empty((n_x, n_y), dtype=np.float64)
     for start in range(0, count, step):
         a, b = _pair_indices(n_x, n_y, triangle, start, min(start + step, count))
-        xs = np.ascontiguousarray(X[a].T)
-        ys = np.ascontiguousarray(Y[b].T)
-        values = _corners(setup, cell, xs, ys, band, fill)
+        values = paired_dp(X[a], Y[b], setup, cell, band=band, fill=fill)
         out[a, b] = values
         if triangle:
             out[b, a] = values
+    return out
+
+
+def paired_dp(
+    A: np.ndarray,
+    B: np.ndarray,
+    setup: DPSetup,
+    cell: DPCell,
+    *,
+    band: int | None = None,
+    fill: float = INF,
+) -> np.ndarray:
+    """Final DP cell of the recurrence for each row pair ``(A[i], B[i])``,
+    in chunks of at most :data:`PAIR_BUDGET` values per ``pairs x
+    length`` array (the ``setup``/``cell`` contract of :func:`_corners`)."""
+    out = np.empty(A.shape[0], dtype=np.float64)
+    step = pair_step(A.shape[1], B.shape[1])
+    for start in range(0, A.shape[0], step):
+        xs = np.ascontiguousarray(A[start : start + step].T)
+        ys = np.ascontiguousarray(B[start : start + step].T)
+        out[start : start + step] = _corners(setup, cell, xs, ys, band, fill)
     return out

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..base import DistanceMeasure, ParamSpec, register_measure
-from ._dp import INF, as_float_list, band_width, pairwise_dp
+from ._dp import INF, as_float_list, band_width, paired_dp, pairwise_dp
 
 
 def dtw(x: np.ndarray, y: np.ndarray, delta: float = 100.0) -> float:
@@ -109,17 +109,29 @@ def _dtw_cell(diag, up, left, xi, yj):
     return d * d + np.minimum(np.minimum(diag, up), left)
 
 
-def _dtw_matrix(X: np.ndarray, Y: np.ndarray, delta: float = 100.0) -> np.ndarray:
-    """:func:`dtw` of every pair through :func:`pairwise_dp`, bitwise."""
-    w = band_width(X.shape[1], Y.shape[1], delta)
-    totals = pairwise_dp(X, Y, _dtw_setup, _dtw_cell, band=w, fill=INF)
-    # The root per pair, as dtw takes it (np.sqrt can differ in the last
-    # bit), in place and in blocks so the Python floats stay few.
+def _roots(totals: np.ndarray) -> np.ndarray:
+    """The root of each accumulated cost as :func:`dtw` takes it
+    (``np.sqrt`` can differ in the last bit), in place and in blocks so
+    the Python floats stay few."""
     flat = totals.reshape(-1)
     for start in range(0, flat.size, 1 << 16):
         block = flat[start : start + (1 << 16)]
         block[:] = [total ** 0.5 for total in block.tolist()]
     return totals
+
+
+def _dtw_matrix(X: np.ndarray, Y: np.ndarray, delta: float = 100.0) -> np.ndarray:
+    """:func:`dtw` of every pair through :func:`pairwise_dp`, bitwise."""
+    w = band_width(X.shape[1], Y.shape[1], delta)
+    return _roots(pairwise_dp(X, Y, _dtw_setup, _dtw_cell, band=w, fill=INF))
+
+
+def dtw_pairs(A: np.ndarray, B: np.ndarray, delta: float = 100.0) -> np.ndarray:
+    """:func:`dtw` of each row pair ``(A[i], B[i])`` through
+    :func:`paired_dp`, bitwise — the refine of the exact DTW top-k
+    search (:class:`repro.index.PAALowerBoundIndex`)."""
+    w = band_width(A.shape[1], B.shape[1], delta)
+    return _roots(paired_dp(A, B, _dtw_setup, _dtw_cell, band=w, fill=INF))
 
 
 DTW = register_measure(

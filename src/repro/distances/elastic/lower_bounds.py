@@ -63,16 +63,18 @@ def lb_keogh(
     """
     x, y = as_pair(x, y)
     upper, lower = y_envelope if y_envelope is not None else envelope(y, delta)
-    return keogh_bound(x, upper, lower)
+    return float(keogh_bound(x, upper, lower))
 
 
-def keogh_bound(x: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> float:
-    """LB_Keogh of float64 ``x`` against a candidate's envelope.
+def keogh_bound(x: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """LB_Keogh of float64 ``x`` against an envelope, over the last axis.
 
-    The arithmetic of :func:`lb_keogh` without its input validation, for
-    callers that bound many already-validated candidates in a loop.
+    The arithmetic of :func:`lb_keogh` without its input validation, one
+    bound per row the arguments broadcast to: the ``paa_lb`` index bounds
+    whole batches of candidates with it, and LB_PAA against frame
+    envelopes is the same formula.
     """
     above = np.maximum(x - upper, 0.0)
     below = np.maximum(lower - x, 0.0)
-    return float(np.sqrt((above * above + below * below).sum()))
+    return np.sqrt((above * above + below * below).sum(axis=-1))
 

@@ -12,11 +12,12 @@ through ``nearest_neighbors(..., index=...)``), both by way of
 kind itself when none was fitted. The retired Euclidean kinds
 (``dft_lb``, ``isax``, and ``paa_lb`` under ED) resolve to ``ed_scan``.
 
-Every kind shares one search loop, :meth:`ReferenceIndex.search` — the
-k check against the kind's own bound, the per-query loop, the result
-arrays and the :class:`IndexSearchStats` — and one ``prune=False``
-exhaustive scan; a kind supplies only its per-query step, or, like
-``ed_scan``, answers whole batches.
+Every kind shares one search loop — the k check against the kind's own
+bound, the loop over groups of queries, the result arrays and the
+:class:`IndexSearchStats` — one ``prune=False`` exhaustive scan and one
+stable ``(distance, index)`` selection; approximate kinds supply a
+per-query step, while ``ed_scan`` and ``paa_lb`` answer groups of
+queries at once.
 """
 
 from .ann import GRAILANNIndex, SPIRALANNIndex

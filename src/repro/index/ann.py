@@ -31,7 +31,7 @@ from ..distances.lockstep.minkowski import euclidean
 from ..embeddings.grail import GRAIL
 from ..embeddings.spiral import SPIRAL
 from ..exceptions import IndexBuildError
-from .base import ReferenceIndex, TopK, register_index
+from .base import ReferenceIndex, register_index, top_k_rows
 
 #: Default embedding width — much smaller than the paper's Table-7
 #: representation length (100): the index only needs candidate ranking,
@@ -163,10 +163,10 @@ class _EmbeddingANNIndex(ReferenceIndex):
         true_d = self._measure_obj.pairwise(
             q[None, :], self._X[shortlist], **self.params
         )[0]
-        topk = TopK(k)
-        for idx, d in zip(shortlist, true_d):
-            topk.offer(float(d), int(idx))
-        return (*topk.result(), shortlist.shape[0])
+        (indices,), (distances,) = top_k_rows(
+            np.zeros_like(shortlist), shortlist, true_d, 1, k
+        )
+        return indices, distances, shortlist.shape[0]
 
     @property
     def max_k(self) -> int:

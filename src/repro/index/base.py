@@ -16,21 +16,27 @@ Two index classes exist:
   candidate is skipped only when its screen proves it cannot enter the
   top ``k``. Under ED that is ``ed_scan`` (:mod:`repro.index.scan`), a
   cached-norm GEMM screen over the whole batch; under banded DTW it is
-  ``paa_lb``'s admissible lower bound, refined in ascending order until
-  the bound loses to the current ``k``-th best distance;
+  ``paa_lb``'s admissible lower bound, its candidates refined in
+  ascending-bound blocks for the whole batch until the bound loses to
+  each query's current ``k``-th best distance;
 - **approximate** indexes (``exact = False``) — embedding-space search
   with a true-distance re-rank, gated by a recall measurement at build
   time.
 
-Both are searched through one loop, :meth:`ReferenceIndex.search`; a
-kind supplies only its per-query step, or, like ``ed_scan``, answers
-whole batches by overriding ``search``.
+Both are searched through one loop over groups of queries; an
+approximate kind supplies a per-query step, while ``ed_scan`` and
+``paa_lb`` answer whole groups by overriding ``search``. Every exact or
+approximate answer is selected by one stable ``(distance, index)``
+helper, :func:`top_k_rows`.
 
 A representation earns its place by what it saves *net of its own
 cost*, not by pruning power alone (Wang et al.): the DFT, Euclidean PAA
 and iSAX filters pruned 87.5–99.9% of the candidates and still lost to
 ``ed_scan`` at every measured size, so they were retired and their
-names resolve to it under ED (:func:`resolve_kind`).
+names resolve to it under ED (:func:`resolve_kind`). For the same
+reason ``paa_lb`` refines blocks of candidates through the pair-batched
+DP rather than one scalar early-abandoning DP per candidate, which lost
+to ``pairwise`` plus a stable argsort.
 
 Every index serializes to ``(spec, arrays)``: the spec is a small
 JSON-able dict folded into the artifact fingerprint, and the arrays ride
@@ -40,14 +46,12 @@ index is tamper-checked exactly like the reference set itself.
 
 from __future__ import annotations
 
-import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..distances.lockstep.minkowski import euclidean
 from ..exceptions import IndexBuildError, ValidationError
 
 #: Relative safety margin applied to every lower bound before it is
@@ -57,7 +61,7 @@ from ..exceptions import IndexBuildError, ValidationError
 #: survives rounding, keeping pruning exact in float64 arithmetic.
 LB_SAFETY = 1e-9
 
-#: Difference values (rows x series length) one refine chunk holds, in
+#: Values (rows x series length) one refine chunk gathers, in
 #: ``ed_scan`` and in the ``prune=False`` scan.
 REFINE_BUDGET = 2**16
 
@@ -111,52 +115,24 @@ class IndexSearchStats:
             "pruning_rate": round(self.pruning_rate, 6),
         }
 
-    def merge(self, other: "IndexSearchStats") -> "IndexSearchStats":
-        """Combine accounting across queries or shards."""
-        return IndexSearchStats(
-            candidates=self.candidates + other.candidates,
-            refined=self.refined + other.refined,
-        )
 
+def top_k_rows(
+    owner: np.ndarray, index: np.ndarray, distance: np.ndarray, r: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` smallest candidates of each of ``r`` queries.
 
-class TopK:
-    """Running ``k``-smallest ``(distance, index)`` selection.
-
-    Tie-breaking matches a stable ``argsort`` over the full distance
-    vector: among equal distances the *lowest* reference index wins,
-    which is what keeps index answers bitwise-identical to the
-    brute-force scan (and to paper Algorithm 1's strict ``<`` scan at
-    ``k = 1``).
+    Candidate ``i`` belongs to query ``owner[i]``, names reference
+    ``index[i]`` and lies at ``distance[i]``; every query must own at
+    least ``k`` candidates. Returns ``(indices, distances)``, both
+    ``(r, k)``, ordered by ``(distance, index)``: among equal distances
+    the *lowest* reference index wins, as in a stable ``argsort`` over
+    the full distance vector and paper Algorithm 1's strict ``<`` scan.
     """
-
-    def __init__(self, k: int):
-        self.k = int(k)
-        # Max-heap via negation; (-d, -idx) pops the largest distance,
-        # and among equal distances the largest index — so the survivors
-        # are always the lexicographically smallest (d, idx) pairs.
-        self._heap: list[tuple[float, float]] = []
-
-    def offer(self, distance: float, index: int) -> None:
-        """Consider one candidate."""
-        item = (-float(distance), -int(index))
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, item)
-        elif item > self._heap[0]:
-            heapq.heapreplace(self._heap, item)
-
-    @property
-    def threshold(self) -> float:
-        """Current k-th best distance (``inf`` until ``k`` are held)."""
-        if len(self._heap) < self.k:
-            return np.inf
-        return -self._heap[0][0]
-
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """Final ``(indices, distances)`` sorted by ``(distance, index)``."""
-        pairs = sorted((-d, -i) for d, i in self._heap)
-        indices = np.array([int(i) for _, i in pairs], dtype=np.intp)
-        distances = np.array([d for d, _ in pairs], dtype=np.float64)
-        return indices, distances
+    order = np.lexsort((index, distance, owner))
+    counts = np.bincount(owner, minlength=r)
+    starts = np.cumsum(counts) - counts
+    pick = order[starts[:, None] + np.arange(k)]
+    return index[pick], distance[pick]
 
 
 class ReferenceIndex(ABC):
@@ -240,26 +216,32 @@ class ReferenceIndex(ABC):
         """Top-``k`` neighbors of each normalized query row.
 
         Returns ``(indices, distances, stats)`` with both arrays shaped
-        ``(len(Q), k)``. Each kind answers one query at a time through
-        :meth:`_nearest`. ``prune=False`` runs :meth:`_scan` on exact
-        kinds: the identical refine arithmetic over *every* candidate —
-        the engine's ``mode="brute"`` baseline the exactness tests
-        compare against, differing from ``prune=True`` only in which
-        candidates get skipped. Approximate kinds answer the same way
-        either way.
+        ``(len(Q), k)``. Exact kinds answer whole batches by overriding
+        this method and send ``prune=False`` here: :meth:`_scan`, the
+        identical refine arithmetic over *every* candidate — the
+        engine's ``mode="brute"`` baseline the exactness tests compare
+        against, differing from ``prune=True`` only in which candidates
+        get skipped. Approximate kinds answer one query at a time
+        through :meth:`_nearest`, the same way either way.
         """
+        step = self._nearest if prune or not self.exact else self._scan
+        return self._grouped(Q, k, lambda block, k: step(block[0], k), 1)
+
+    def _grouped(self, Q, k, answer, group):
+        """``search``'s result from ``answer(block, k) -> (indices,
+        distances, pairs refined)`` over blocks of at most ``group``
+        query rows, after checking ``k``."""
         Q = np.asarray(Q, dtype=np.float64)
         self._check_k(k)
-        step = self._nearest if prune or not self.exact else self._scan
         r = Q.shape[0]
         indices = np.empty((r, k), dtype=np.intp)
         distances = np.empty((r, k), dtype=np.float64)
-        refined_total = 0
-        for qi in range(r):
-            indices[qi], distances[qi], refined = step(Q[qi], k)
-            refined_total += refined
-        stats = IndexSearchStats(candidates=r * self.n, refined=refined_total)
-        return indices, distances, stats
+        refined = 0
+        for lo in range(0, r, group):
+            block = slice(lo, lo + group)
+            indices[block], distances[block], count = answer(Q[block], k)
+            refined += count
+        return indices, distances, IndexSearchStats(candidates=r * self.n, refined=refined)
 
     def _check_k(self, k: int) -> None:
         """Reject a ``k`` outside ``[1, max_k]``."""
@@ -273,46 +255,30 @@ class ReferenceIndex(ABC):
     def _nearest(
         self, q: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """This kind's search for one query: ``(indices, distances, pairs
-        refined)``, sorted by ``(distance, index)``.
+        """An approximate kind's search for one query: ``(indices,
+        distances, pairs refined)``, sorted by ``(distance, index)``."""
+        raise NotImplementedError
 
-        Kinds that answer whole batches override :meth:`search` instead.
-        """
+    def _distances(self, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """An exact kind's refine distance from ``q`` to each of ``rows``."""
         raise NotImplementedError
 
     def _scan(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, int]:
         """The pruning-disabled scan: the refine arithmetic, every row.
 
-        Row-wise ED, or early-abandoning DTW with an infinite threshold
-        (which is the full DP). ED refines :data:`REFINE_BUDGET` values at
-        a time and merges each chunk into the running top ``k`` by stable
-        ``(distance, index)`` order: the chunk's rows follow every held
-        one, so a stable sort on distance alone breaks ties by index.
+        :meth:`_distances` refines :data:`REFINE_BUDGET` values at a time,
+        and each chunk merges into the running top ``k`` — seeded with
+        ``(inf, n)`` placeholders — by :func:`top_k_rows`.
         """
-        if self.measure == "dtw":
-            from ..search.cascade import dtw_early_abandon
-
-            topk = TopK(k)
-            delta = float(self.params["delta"])
-            for idx in range(self.n):
-                topk.offer(dtw_early_abandon(q, self._X[idx], delta, np.inf), idx)
-            return (*topk.result(), self.n)
-        best_i = np.empty(0, dtype=np.intp)
-        best_d = np.empty(0, dtype=np.float64)
+        best_i = np.full(k, self.n, dtype=np.intp)
+        best_d = np.full(k, np.inf)
         chunk = max(1, REFINE_BUDGET // self.series_length)
         for pos in range(0, self.n, chunk):
-            d = euclidean(self._X[pos : pos + chunk], q)
-            rows = np.arange(pos, pos + d.shape[0])
-            if best_d.shape[0] == k:
-                # An equal distance loses to the held, lower index.
-                wins = d < best_d[-1]
-                if not wins.any():
-                    continue
-                rows, d = rows[wins], d[wins]
-            rows = np.concatenate((best_i, rows))
-            d = np.concatenate((best_d, d))
-            keep = np.argsort(d, kind="stable")[:k]
-            best_i, best_d = rows[keep], d[keep]
+            d = self._distances(q, self._X[pos : pos + chunk])
+            index = np.concatenate((best_i, np.arange(pos, pos + d.shape[0])))
+            (best_i,), (best_d,) = top_k_rows(
+                np.zeros_like(index), index, np.concatenate((best_d, d)), 1, k
+            )
         return best_i, best_d, self.n
 
     @property

@@ -72,6 +72,7 @@ from .base import (
     IndexSearchStats,
     ReferenceIndex,
     register_index,
+    top_k_rows,
 )
 
 #: Screen values (queries x references) one block holds: 16 MiB. Up to
@@ -131,37 +132,30 @@ class EuclideanScan(ReferenceIndex):
         is the base class's row-wise scan over every reference."""
         if not prune:
             return super().search(Q, k, prune=False)
-        Q = np.asarray(Q, dtype=np.float64)
-        self._check_k(k)
-        r, n = Q.shape[0], self.n
-        indices = np.empty((r, k), dtype=np.intp)
-        distances = np.empty((r, k), dtype=np.float64)
-        refined = 0
-        step = max(1, SCREEN_BUDGET // n)
-        for lo in range(0, r, step):
-            block = Q[lo : lo + step]
-            screen = block @ self._X.T
-            screen *= -2.0
-            screen += self._norms
-            weight = self._norm_max + np.einsum("ij,ij->i", block, block)
-            slack = screen_slack(self.series_length, weight)
-            bound = np.partition(screen, k - 1, axis=1)[:, k - 1] + slack
-            # Negated so an overflowing (NaN) screen value survives.
-            keep = np.flatnonzero(~(screen > bound[:, None]))
-            del screen
-            rows, cols = np.divmod(keep, n)
-            dists = self._refine_euclidean(block, rows, cols)
-            refined += cols.shape[0]
-            # Survivors come grouped by query row; order each row's by
-            # (distance, index) and take its first k (every row keeps at
-            # least the k references of its k smallest screen values).
-            order = np.lexsort((cols, dists, rows))
-            counts = np.bincount(rows, minlength=block.shape[0])
-            starts = np.cumsum(counts) - counts
-            pick = order[starts[:, None] + np.arange(k)]
-            indices[lo : lo + step] = cols[pick]
-            distances[lo : lo + step] = dists[pick]
-        return indices, distances, IndexSearchStats(candidates=r * n, refined=refined)
+        return self._grouped(Q, k, self._screen, max(1, SCREEN_BUDGET // self.n))
+
+    def _screen(
+        self, block: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Top ``k`` of one block of queries, and the pairs refined."""
+        screen = block @ self._X.T
+        screen *= -2.0
+        screen += self._norms
+        weight = self._norm_max + np.einsum("ij,ij->i", block, block)
+        slack = screen_slack(self.series_length, weight)
+        bound = np.partition(screen, k - 1, axis=1)[:, k - 1] + slack
+        # Negated so an overflowing (NaN) screen value survives.
+        keep = np.flatnonzero(~(screen > bound[:, None]))
+        del screen
+        rows, cols = np.divmod(keep, self.n)
+        dists = self._refine_euclidean(block, rows, cols)
+        # Every row keeps at least the k references of its k smallest
+        # screen values.
+        return (*top_k_rows(rows, cols, dists, block.shape[0], k), cols.shape[0])
+
+    def _distances(self, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Row-wise ED from ``q`` to each of ``rows``."""
+        return euclidean(rows, q)
 
     def _refine_euclidean(
         self, Q: np.ndarray, rows: np.ndarray, cols: np.ndarray

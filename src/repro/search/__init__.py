@@ -15,13 +15,14 @@ point::
 
 The whole-series domain of :func:`nearest_neighbors` is one call to
 :class:`repro.serving.engine.ReferenceSearch`, the top-k search the
-serving engine also answers through; every domain returns one
+serving engine also answers through (exact DTW top-k is the index
+layer's ascending-bound blocks, :class:`repro.index.PAALowerBoundIndex`);
+every domain returns one
 :class:`NeighborResult` (``(n, k)`` indices and distances, the answering
 route as ``engine``, an :class:`~repro.index.IndexSearchStats` and
 ``cache_hits``).
 """
 
-from .cascade import dtw_early_abandon
 from .facade import NeighborResult, nearest_neighbors
 from .mass import (
     best_match,
@@ -44,5 +45,4 @@ __all__ = [
     "clamped_window_stats",
     "matrix_profile",
     "MatrixProfile",
-    "dtw_early_abandon",
 ]

@@ -25,8 +25,9 @@ fastest:
   ``pairwise``'s Gram form (the two differ by ~1e-13);
 - **banded DTW** goes through an exact ``paa_lb`` index at full
   resolution (one frame per sample, where LB_PAA is exactly LB_Keogh)
-  when no exact index was fitted: the UCR-suite LB_Keogh ->
-  early-abandon cascade on the index layer's shared refine kernel.
+  when no exact index was fitted: the UCR-suite LB_Keogh cascade, each
+  query's candidates in ascending bound order, refined in blocks for
+  the whole batch by the pair-batched DP behind ``pairwise("dtw")``.
 
 Reference indexes are chosen by ``mode``:
 

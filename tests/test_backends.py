@@ -457,7 +457,7 @@ class TestServingBackend:
         ]
 
     def test_cascade_route_reports_reference(self, serving_dataset):
-        """The sliding route and the DTW cascade (a full-resolution
+        """The sliding route and the DTW route (a full-resolution
         paa_lb index) bypass the registry by design."""
         artifact = ModelArtifact.fit_dataset(
             serving_dataset,

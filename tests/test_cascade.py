@@ -1,8 +1,9 @@
 """Tests for the UCR-suite-style cascading DTW nearest-neighbour search.
 
-The cascade (LB_Keogh, then the early-abandoning DP) runs as the refine
-of a full-resolution ``paa_lb`` index, which is what
-:func:`repro.search.nearest_neighbors` builds for DTW.
+The cascade (LB_Keogh first, the DP only for candidates it does not rule
+out, refined in blocks) runs as the refine of a full-resolution
+``paa_lb`` index, which is what :func:`repro.search.nearest_neighbors`
+builds for DTW.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from repro.distances.elastic import dtw
 from repro.index import IndexSearchStats
-from repro.search import dtw_early_abandon, nearest_neighbors
+from repro.search import nearest_neighbors
 
 
 def cascade_search(query, corpus, delta):
@@ -28,28 +29,6 @@ def corpus(rng):
     rows = [base + rng.normal(0, 0.2, size=48) for _ in range(8)]
     rows += [rng.normal(0, 1.0, size=48) + 5.0 * i for i in range(12)]
     return np.vstack(rows)
-
-
-class TestEarlyAbandonDTW:
-    def test_exact_when_below_threshold(self, random_pairs):
-        for x, y in random_pairs:
-            exact = dtw(x, y, 10.0)
-            assert dtw_early_abandon(x, y, 10.0, exact + 1.0) == pytest.approx(
-                exact
-            )
-
-    def test_inf_when_cannot_win(self, random_pairs):
-        for x, y in random_pairs:
-            exact = dtw(x, y, 10.0)
-            if exact > 0.1:
-                assert np.isinf(dtw_early_abandon(x, y, 10.0, exact * 0.5))
-
-    def test_threshold_just_below_distance_abandons(self, sine_pair):
-        # (Exactly-at-threshold is ambiguous by one ulp through the
-        # sqrt/square roundtrip, so test a strictly smaller threshold.)
-        x, y = sine_pair
-        exact = dtw(x, y, 10.0)
-        assert np.isinf(dtw_early_abandon(x, y, 10.0, exact * (1 - 1e-6)))
 
 
 class TestCascadeSearch:

@@ -1,6 +1,6 @@
 """Tests for the sub-linear query path (repro.index + engine modes).
 
-The index layer is exactness-critical in three different ways:
+The index layer is exactness-critical in four different ways:
 
 - **admissibility** — ``paa_lb``'s DTW lower bound must never exceed
   the true distance, for *any* inputs, across the paper's Table-4
@@ -9,6 +9,10 @@ The index layer is exactness-critical in three different ways:
   brute oracle (the row-wise distance to every reference, then
   ``np.lexsort``) bitwise on adversarial inputs, with its certified
   slack load-bearing and its screen blocked under a memory budget;
+- **the DTW route** — ``paa_lb``'s ascending-bound blocks must equal
+  stable argsort over ``pairwise("dtw")`` bitwise on the same inputs,
+  with rounds spanning several DP chunks and its bound arrays held
+  under a memory budget;
 - **parity** — ``mode="exact"`` answers must be bitwise-identical to
   ``mode="brute"`` (same refine arithmetic, pruning toggled), and the
   approximate path must clear a measured recall@1 gate on a pinned
@@ -25,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distances import get_measure
-from repro.distances.elastic import dtw
+from repro.distances.elastic import _dp, dtw
 from repro.exceptions import (
     ArtifactError,
     IndexBuildError,
@@ -42,7 +46,7 @@ from repro.index import (
     restore_index,
 )
 from repro.index import base as index_base
-from repro.index import scan
+from repro.index import lower_bound, scan
 from repro.normalization import get_normalizer
 from repro.search import NeighborResult, nearest_neighbors
 from repro.serving import ModelArtifact, QueryEngine
@@ -381,6 +385,159 @@ class TestRetiredKinds:
             build_index("ed_scan", X, measure="dtw", params={"delta": 10.0})
 
 
+class TestDTWBlockRoute:
+    """``paa_lb``'s ascending-bound blocks, at full resolution and at 8
+    segments, pruned or not, against stable argsort over
+    ``pairwise("dtw")`` — indices and distances bitwise."""
+
+    PARAMS = {"delta": 10.0}
+
+    @pytest.fixture(scope="class")
+    def cases(self, adversarial_batches):
+        """``(references, queries)`` per input: the references' first
+        rows themselves (exact ties on duplicates) plus perturbed copies."""
+        rng = np.random.default_rng(29)
+        out = {}
+        for name, X in adversarial_batches.items():
+            Q = np.vstack(
+                [X[:3], X[:3] + 0.01 * rng.normal(size=(3, X.shape[1]))]
+            )
+            out[name] = (X, Q)
+        X, _, Q = clustered_dataset()
+        out["clustered"] = (X[::2], np.vstack([X[:3], Q]))
+        return out
+
+    def oracle(self, X, Q, k):
+        E = get_measure("dtw").pairwise(Q, X, **self.PARAMS)
+        order = np.argsort(E, axis=1, kind="stable")[:, :k]
+        return order, np.take_along_axis(E, order, axis=1)
+
+    def paa_lb(self, X, segments):
+        return build_index(
+            {"kind": "paa_lb", "segments": segments}, X, measure="dtw",
+            params=self.PARAMS,
+        )
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("segments", ["8", "m"])
+    @pytest.mark.parametrize("k", ["1", "3", "n"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "more_rows_than_one_block", "zero_row", "constant_rows",
+            "duplicate_rows", "large_offset", "length_1", "length_2",
+            "clustered",
+        ],
+    )
+    def test_equals_pairwise_oracle(self, cases, name, k, segments, prune):
+        X, Q = cases[name]
+        k = X.shape[0] if k == "n" else int(k)
+        segments = X.shape[1] if segments == "m" else int(segments)
+        idx, dist, stats = self.paa_lb(X, segments).search(Q, k, prune=prune)
+        want_idx, want_dist = self.oracle(X, Q, k)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(dist, want_dist)
+        assert stats.candidates == Q.shape[0] * X.shape[0]
+        assert k * Q.shape[0] <= stats.refined <= stats.candidates
+
+    def test_small_blocks_and_chunks(self, monkeypatch):
+        """One-candidate first blocks and 4-pair DP chunks: a round spans
+        several DP chunks, queries finish in different rounds, and the
+        LB_Keogh stage empties a query's block while the query goes on
+        drawing — it ends only when it draws no candidate."""
+        X, _, Q = clustered_dataset()
+        X, Q = X[::2], np.vstack([X[:3], Q])
+        index = self.paa_lb(X, 8)
+        monkeypatch.setattr(lower_bound, "FIRST_BLOCK", 1)
+        monkeypatch.setattr(_dp, "PAIR_BUDGET", 4 * (X.shape[1] + 1))
+        log = []  # per round: (live queries, queries refined, DP chunks)
+        chunks = []
+        top_k_rows, dtw_pairs = lower_bound.top_k_rows, lower_bound.dtw_pairs
+
+        def spy_top_k_rows(owner, index, distance, r, k):
+            log.append((r, np.unique(owner[r * k :]).size, len(chunks)))
+            chunks.clear()
+            return top_k_rows(owner, index, distance, r, k)
+
+        def spy_dtw_pairs(A, B, delta):
+            chunks.append(A.shape[0])
+            return dtw_pairs(A, B, delta)
+
+        monkeypatch.setattr(lower_bound, "top_k_rows", spy_top_k_rows)
+        monkeypatch.setattr(lower_bound, "dtw_pairs", spy_dtw_pairs)
+        for k in (1, 3):
+            log.clear()
+            idx, dist, _ = index.search(Q, k)
+            want_idx, want_dist = self.oracle(X, Q, k)
+            np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(dist, want_dist)
+            live = [r for r, _, _ in log] + [0]
+            ended = [live[t] - live[t + 1] for t in range(len(log))]
+            emptied = [
+                r - refined - gone for (r, refined, _), gone in zip(log, ended)
+            ]
+            assert max(c for _, _, c in log) > 1, log
+            assert sum(gone > 0 for gone in ended) > 1, log
+            assert max(emptied) > 0, log
+
+    def test_bound_memory_bounded_by_budget(self):
+        """256 queries x 2e4 references: one group would hold the bounds,
+        their order and the sorted bounds as 3 x 5.12e6 values (123 MB).
+        Groups of ``SCREEN_BUDGET // n`` queries keep the peak at one
+        group's three arrays (measured 2.98 budgets of float64 values)."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(20_000, 32))
+        Q = X[:256] + 0.001 * rng.normal(size=(256, 32))
+        index = self.paa_lb(X, 32)
+        tracemalloc.start()
+        try:
+            index.search(Q, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * scan.SCREEN_BUDGET, peak
+
+
+class TestTopKRows:
+    """The one stable ``(distance, index)`` selection behind ``ed_scan``,
+    the ``prune=False`` scan, ``paa_lb``'s rounds and the ANN re-rank."""
+
+    def test_equals_sorted_tuples(self):
+        rng = np.random.default_rng(8)
+        owner = rng.integers(0, 5, size=300)
+        index = rng.permutation(300)
+        distance = rng.integers(0, 6, size=300).astype(float)
+        distance[rng.integers(0, 300, size=20)] = np.inf
+        idx, dist = index_base.top_k_rows(owner, index, distance, 5, 7)
+        for q in range(5):
+            mine = owner == q
+            want = sorted(zip(distance[mine].tolist(), index[mine].tolist()))
+            assert dist[q].tolist() == [d for d, _ in want[:7]]
+            assert idx[q].tolist() == [i for _, i in want[:7]]
+
+    def test_ann_rerank_as_before(self, workload):
+        """The re-rank keeps the ``k`` smallest ``(distance, index)`` of
+        its ascending shortlist, ties on duplicate rows included."""
+        X, _, Q = workload
+        X = np.vstack([X[:40], X[:40]])
+        index = build_index(
+            {"kind": "grail_ann", "dimensions": 16, "rerank": 12}, X,
+            measure="euclidean", params={},
+        )
+        euclidean = get_measure("euclidean")
+        for k in (1, 5, 12):
+            idx, dist, stats = index.search(Q, k)
+            assert stats.refined == 12 * Q.shape[0]
+            for q, got_i, got_d in zip(Q, idx, dist):
+                emb = index._embedding.transform(q[None, :])[0]
+                emb_d = euclidean.pairwise(emb[None, :], index._embeddings)[0]
+                shortlist = np.sort(np.argsort(emb_d, kind="stable")[:12])
+                true = euclidean.pairwise(q[None, :], X[shortlist])[0]
+                want = sorted(zip(true.tolist(), shortlist.tolist()))[:k]
+                assert got_d.tolist() == [d for d, _ in want]
+                assert got_i.tolist() == [i for _, i in want]
+
+
 class TestApproximateRecall:
     """grail_ann on the pinned clustered workload must clear recall@1."""
 
@@ -570,8 +727,8 @@ class TestFacade:
         assert plain.engine == indexed.engine == "index:ed_scan"
 
     def test_dtw_cascade_route(self, workload):
-        """DTW without index= runs the LB_Keogh -> early-abandon cascade
-        as a transient full-resolution paa_lb index."""
+        """DTW without index= runs a transient full-resolution paa_lb
+        index: LB_Keogh order, then the DP in blocks."""
         X, _, Q = workload
         res = nearest_neighbors(
             Q[:3], X[:40], measure="dtw", k=1, params={"delta": 10.0}
@@ -774,8 +931,12 @@ class TestOneCoreParity:
 def test_fitted_paa_dtw_refine_is_exact_and_counts_unchanged():
     """A fitted ``paa_lb`` below full resolution (8 segments) over DTW
     answers like stable argsort over ``pairwise("dtw")``, bitwise, and
-    its LB_Keogh stage refines exactly as many candidates as the
-    validating ``lb_keogh`` per survivor did (counts recorded with it)."""
+    refines as many candidates as the block rule gives: each round a
+    query draws its next block in ascending LB_PAA order (8, then
+    doubling), cut at the first deflated bound above its k-th distance,
+    and the drawn candidates whose LB_Keogh also loses are dropped. A
+    block is refined whole, so more pairs are refined than by a
+    candidate-by-candidate refine (counts recorded with the block rule)."""
     X, _, Q = clustered_dataset()
     X, Q = X[:120], Q[:6]
     index = build_index(
@@ -783,7 +944,7 @@ def test_fitted_paa_dtw_refine_is_exact_and_counts_unchanged():
         params={"delta": 10.0},
     )
     E = get_measure("dtw").pairwise(Q, X, delta=10.0)
-    for k, refined in ((1, 152), (3, 354), (120, 720)):
+    for k, refined in ((1, 188), (3, 361), (120, 720)):
         idx, dist, stats = index.search(Q, k)
         order = np.argsort(E, axis=1, kind="stable")[:, :k]
         np.testing.assert_array_equal(idx, order)

@@ -1,10 +1,11 @@
 """Property-based oracles for the search substrate.
 
-The pruning cascade and the matrix profile are exactness-critical: a bug
-would silently change answers rather than crash. Both are checked against
-brute-force oracles over randomized inputs. The cascade (LB_Keogh, then
-early-abandoning DTW) is the DTW route of the search facade and of the
-serving engine: a full-resolution ``paa_lb`` index.
+The pruned DTW search and the matrix profile are exactness-critical: a
+bug would silently change answers rather than crash. Both are checked
+against brute-force oracles over randomized inputs. The DTW search (a
+full-resolution ``paa_lb`` index: candidates in ascending LB_Keogh order,
+refined in blocks by the pair-batched DP) is the DTW route of the search
+facade and of the serving engine.
 """
 
 import numpy as np

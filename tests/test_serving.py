@@ -42,9 +42,9 @@ from repro.serving import (
 
 #: (measure, normalization, params) triples spanning every engine route:
 #: lock-step matrix kernel, sliding reference-FFT, banded DTW through
-#: the full-resolution paa_lb index (the LB_Keogh -> early-abandon
-#: cascade), and the generic matrix fallback of the other elastic
-#: measures.
+#: the full-resolution paa_lb index (LB_Keogh-ordered candidates
+#: refined in blocks by the pair-batched DP), and the generic matrix
+#: fallback of the other elastic measures.
 FAMILY_CASES = [
     ("euclidean", "zscore", None),
     ("nccc", "zscore", None),
@@ -344,7 +344,8 @@ class TestQueryEngine:
 
     def test_cascade_toggle_agrees(self, dataset):
         """Pruning on (exact) and off (brute) agree with the offline
-        pairwise answer; the cascade pruned something on smooth data."""
+        pairwise answer; the LB_Keogh cut pruned something on smooth
+        data."""
         art = ModelArtifact.fit_dataset(
             dataset, measure="dtw", normalization="zscore",
             params={"delta": 10.0},
